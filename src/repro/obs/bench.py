@@ -23,7 +23,8 @@ tracked, regression-gated trajectory.  This module provides
   baseline file; a run *regresses* when its median wall time or peak
   allocation exceeds the baseline by more than ``threshold`` (25 %
   default), which is what gives ``repro bench --compare`` its non-zero
-  exit code.
+  exit code.  Benchmarks whose ``check`` checksum differs are listed
+  separately as "numerics changed" without affecting the exit code.
 
 Every timed repeat is also mirrored into a ``bench.wall_seconds``
 :class:`~repro.obs.registry.MetricRegistry` histogram and (optionally) a
@@ -532,6 +533,26 @@ def _tensor_op_bench(op: str) -> Benchmark:
                 loss.backward()
                 return float(loss.item())
 
+        elif op == "gelu":
+            x = randt(32, 64, 256)
+
+            def run() -> float:
+                x.grad = None
+                loss = F.gelu(x).sum()
+                loss.backward()
+                return float(loss.item())
+
+        elif op == "layer_norm":
+            D = 256
+            x, w, b = randt(32, 64, D), randt(D), randt(D)
+
+            def run() -> float:
+                for p in (x, w, b):
+                    p.grad = None
+                loss = F.layer_norm(x, w, b).sum()
+                loss.backward()
+                return float(loss.item())
+
         else:  # pragma: no cover - catalog is static
             raise KeyError(f"unknown tensor op benchmark {op!r}")
 
@@ -561,6 +582,8 @@ def bench_catalog() -> list[Benchmark]:
         _tensor_op_bench("lstm_cell"),
         _tensor_op_bench("attention"),
         _tensor_op_bench("linear"),
+        _tensor_op_bench("gelu"),
+        _tensor_op_bench("layer_norm"),
         _elastic_round_bench(),
         _checkpoint_bench(),
         _trace_export_bench(),
@@ -788,6 +811,9 @@ class CompareRow:
     base_peak: int
     new_peak: int
     reasons: list[str] = field(default_factory=list)
+    #: the two runs' bitwise determinism checksums (``BenchResult.check``)
+    base_check: float | int | bool | None = None
+    new_check: float | int | bool | None = None
 
     @property
     def time_ratio(self) -> float:
@@ -802,6 +828,16 @@ class CompareRow:
     @property
     def regressed(self) -> bool:
         return bool(self.reasons)
+
+    @property
+    def numerics_changed(self) -> bool:
+        """The checksum moved: the computation's result is not bitwise
+        the baseline's.  Reported, never a regression by itself."""
+        both_nan = all(
+            isinstance(c, float) and math.isnan(c)
+            for c in (self.base_check, self.new_check)
+        )
+        return self.base_check != self.new_check and not both_nan
 
 
 @dataclass
@@ -818,6 +854,10 @@ class CompareReport:
     @property
     def regressions(self) -> list[CompareRow]:
         return [r for r in self.rows if r.regressed]
+
+    @property
+    def numerics_changed(self) -> list[CompareRow]:
+        return [r for r in self.rows if r.numerics_changed]
 
     @property
     def ok(self) -> bool:
@@ -841,7 +881,9 @@ def compare_payloads(
     allocation exceeds the baseline's by more than ``threshold``
     (relative).  Benchmarks present in only one payload are reported but
     never count as regressions — a smoke run compared against a full
-    baseline must not fail on coverage alone.
+    baseline must not fail on coverage alone.  A shared benchmark whose
+    ``check`` differs is listed in ``numerics_changed``; that is a
+    verdict to read, not a regression.
 
     ``time_threshold`` overrides ``threshold`` for the wall-time check
     only.  Peak allocation is deterministic (array sizes, not clocks),
@@ -868,6 +910,8 @@ def compare_payloads(
             new_median=cur["timing"]["median_s"],
             base_peak=base["alloc"]["peak_bytes"],
             new_peak=cur["alloc"]["peak_bytes"],
+            base_check=base.get("check"),
+            new_check=cur.get("check"),
         )
         if row.new_median > row.base_median * (1.0 + time_threshold):
             row.reasons.append(
@@ -943,6 +987,12 @@ def render_compare(report: CompareReport) -> str:
         )
     if report.only_in_current:
         lines.append(f"new benchmarks (no baseline): {', '.join(report.only_in_current)}")
+    changed = report.numerics_changed
+    lines.append(
+        "numerics: every shared check matches" if not changed
+        else f"numerics changed ({len(changed)} benchmark(s); check differs):"
+    )
+    lines.extend(f"  {r.name}: {r.base_check!r} -> {r.new_check!r}" for r in changed)
     n = len(report.regressions)
     lines.append(
         "compare: no regressions" if n == 0

@@ -52,14 +52,29 @@ _GELU_C = float(np.sqrt(2.0 / np.pi))
 def gelu(x: Tensor) -> Tensor:
     """tanh-approximation GELU (the BERT activation)."""
     xd = x.data
-    inner = _GELU_C * (xd + 0.044715 * xd**3)
-    t = np.tanh(inner)
-    out = 0.5 * xd * (1.0 + t)
+    # inner = c * (x + 0.044715 x^3), built in place.  The cube is two
+    # multiplies: float32 ``xd**3`` takes NumPy's generic pow loop, over
+    # 100x slower at the same accuracy.
+    inner = 0.044715 * (xd * xd * xd)
+    inner += xd
+    inner *= _GELU_C
+    out = np.tanh(inner)
+    out += 1.0
+    out *= 0.5 * xd
 
     def backward(g: np.ndarray):
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * xd**2)
-        dt = (1.0 - t * t) * dinner
-        return (g * (0.5 * (1.0 + t) + 0.5 * xd * dt),)
+        # 0.5 (1 + t) + 0.5 x sech^2(inner) c (1 + 3 * 0.044715 x^2), with
+        # sech^2 from cosh rather than 1 - t*t: float32 tanh is an ulp off
+        # near +-1, and that cancellation magnifies it to ~1e-6 in the
+        # gradient.  cosh overflows to inf only where sech^2 is 0 anyway.
+        with np.errstate(over="ignore"):
+            dt = np.cosh(inner)
+        np.divide(1.0, dt, out=dt)
+        dt *= dt
+        dt *= _GELU_C * (1.0 + 3 * 0.044715 * (xd * xd))
+        dt *= 0.5 * xd
+        dt += 0.5 * (1.0 + np.tanh(inner))
+        return (g * dt,)
 
     return Tensor._make(out, (x,), backward, "gelu")
 
@@ -118,13 +133,17 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Te
     """Layer normalization over the last dimension with affine transform."""
     xd = x.data
     mu = xd.mean(axis=-1, keepdims=True)
-    var = xd.var(axis=-1, keepdims=True)
+    # Centre once and reuse it for both the variance and xhat.  These are
+    # the operations ``xd.var`` performs internally (it re-derives the same
+    # mean and centres a second time), so the result is bitwise unchanged.
+    xc = xd - mu
+    var = np.multiply(xc, xc).sum(axis=-1, keepdims=True) / xd.shape[-1]
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (xd - mu) * inv
+    xc *= inv
+    xhat = xc
     out = xhat * weight.data + bias.data
 
     def backward(g: np.ndarray):
-        n = xd.shape[-1]
         gw = _unbroadcast(g * xhat, weight.shape)
         gb = _unbroadcast(g, bias.shape)
         gx_hat = g * weight.data
@@ -134,7 +153,6 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Te
             - gx_hat.mean(axis=-1, keepdims=True)
             - xhat * (gx_hat * xhat).mean(axis=-1, keepdims=True)
         ) * inv
-        del n
         return gx, gw, gb
 
     return Tensor._make(out, (x, weight, bias), backward, "layer_norm")
@@ -405,11 +423,20 @@ def scaled_dot_attention(
         raise ValueError(f"dropout probability must be in [0, 1), got {dropout_p}")
     kt = k.data.transpose(0, 1, 3, 2)
     scale_arr = np.asarray(scale, dtype=q.data.dtype)
-    s = (q.data @ kt) * scale_arr
+    # The softmax runs in place on the score buffer this kernel owns:
+    # the same ufuncs in the same order, without a temporary per step.
+    s = q.data @ kt
+    s *= scale_arr
     if bias is not None:
         s = s + bias
-    e = np.exp(s - s.max(axis=-1, keepdims=True))
-    attn = e / e.sum(axis=-1, keepdims=True)
+    # Row max taken over a copy with the key axis moved first: NumPy
+    # reduces a short contiguous last axis (19 keys in BERT) ~3x slower.
+    # max is exact, so the softmax is bitwise unchanged (a +0/-0 tie only
+    # flips the sign of a zero that exp maps to 1 either way).
+    s -= np.moveaxis(s, -1, 0).copy().max(axis=0)[..., None]
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    attn = s
     if training and dropout_p > 0.0:
         keep = 1.0 - dropout_p
         mask = (rng.random(attn.shape) < keep).astype(attn.dtype) / keep
@@ -425,7 +452,9 @@ def scaled_dot_attention(
         if mask is not None:
             dattn = dattn * mask
         dot = (dattn * attn).sum(axis=-1, keepdims=True)
-        ds = (attn * (dattn - dot)) * scale_arr
+        ds = dattn - dot
+        ds *= attn
+        ds *= scale_arr
         dq = ds @ np.swapaxes(kt, -1, -2) if q.requires_grad else None
         dk = (
             (np.swapaxes(q.data, -1, -2) @ ds).transpose(0, 1, 3, 2)

@@ -107,7 +107,7 @@ class Tensor:
         _op: str = "",
     ) -> None:
         self.data = data if isinstance(data, np.ndarray) else _as_array(data)
-        if requires_grad and not np.issubdtype(self.data.dtype, np.floating):
+        if requires_grad and self.data.dtype.kind != "f":
             raise TypeError(f"only floating tensors can require grad, got {self.data.dtype}")
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None

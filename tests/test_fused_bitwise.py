@@ -14,6 +14,7 @@ from repro.tensor import Tensor
 from repro.tensor import functional as F
 from repro.tensor.functional import _sigmoid_raw, dropout, sigmoid, softmax
 from repro.tensor.functional import tanh as ftanh
+from repro.tensor.tensor import _unbroadcast
 
 
 def _bits_equal(name, a, b):
@@ -194,6 +195,50 @@ def test_attention_matches_composed_bitwise(dtype, use_mask, p):
     _bits_equal("dq", q1.grad, q2.grad)
     _bits_equal("dk", k1.grad, k2.grad)
     _bits_equal("dv", v1.grad, v2.grad)
+
+
+# --------------------------------------------------------------------- #
+# layer_norm: single centering vs the ``xd.var`` form it replaced
+
+
+def _layer_norm_var_reference(xd, wd, bd, g, eps=1e-5):
+    """The pre-rewrite kernel: ``xd.var`` re-centres internally."""
+    mu = xd.mean(axis=-1, keepdims=True)
+    var = xd.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (xd - mu) * inv
+    out = xhat * wd + bd
+    gw = _unbroadcast(g * xhat, wd.shape)
+    gb = _unbroadcast(g, bd.shape)
+    gx_hat = g * wd
+    gx = (
+        gx_hat
+        - gx_hat.mean(axis=-1, keepdims=True)
+        - xhat * (gx_hat * xhat).mean(axis=-1, keepdims=True)
+    ) * inv
+    return out, gx, gw, gb
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dim", [1, 7, 32, 64])
+def test_layer_norm_matches_var_form_bitwise(dtype, dim):
+    rng = np.random.default_rng(5)
+    # Offset + spread so the centering actually matters.
+    xv = (rng.standard_normal((4, 9, dim)) * 3 + 5).astype(dtype)
+    wv = rng.standard_normal((dim,)).astype(dtype)
+    bv = rng.standard_normal((dim,)).astype(dtype)
+    g = rng.standard_normal((4, 9, dim)).astype(dtype)
+
+    x, w, b = (Tensor(v.copy(), requires_grad=True) for v in (xv, wv, bv))
+    out = F.layer_norm(x, w, b)
+    out.backward(g)
+
+    ref_out, ref_gx, ref_gw, ref_gb = _layer_norm_var_reference(xv, wv, bv, g)
+    assert out.dtype == dtype
+    _bits_equal("fwd", ref_out, out.data)
+    _bits_equal("dx", ref_gx, x.grad)
+    _bits_equal("dweight", ref_gw, w.grad)
+    _bits_equal("dbias", ref_gb, b.grad)
 
 
 # --------------------------------------------------------------------- #

@@ -73,6 +73,12 @@ def test_catalog_covers_the_hot_paths():
         "trace.export",
     ):
         assert required in names
+    # every fused tensor kernel BERT and AWD spend their time in
+    tensor = {b.name for b in select_suite("tensor")}
+    assert tensor == {
+        "tensor.lstm_cell", "tensor.attention", "tensor.linear",
+        "tensor.gelu", "tensor.layer_norm",
+    }
     # one generation benchmark per registered schedule
     from repro.verify import VERIFIED_SCHEDULES
 
@@ -218,6 +224,42 @@ def test_compare_time_threshold_splits_from_alloc():
         compare_payloads(base, cur, time_threshold=-0.1)
 
 
+def _with_checks(payload: dict, **checks) -> dict:
+    for bench in payload["benchmarks"]:
+        bench["check"] = checks.get(bench["name"], bench["check"])
+    return payload
+
+
+def test_compare_lists_changed_checks_without_failing():
+    base = _with_checks(
+        _synthetic_payload(a=(1.0, 1000), b=(1.0, 1000), c=(1.0, 1000),
+                           d=(1.0, 1000), only_base=(1.0, 1000)),
+        a=2.19994988887, b=16640, c=float("nan"), d=None, only_base=1.0,
+    )
+    cur = _with_checks(
+        _synthetic_payload(a=(1.0, 1000), b=(1.0, 1000), c=(1.0, 1000),
+                           d=(1.0, 1000), only_cur=(1.0, 1000)),
+        a=2.19994997978, b=16640, c=float("nan"), d=None, only_cur=2.0,
+    )
+    report = compare_payloads(base, cur)
+    # Only the shared benchmark whose checksum moved; NaN == NaN here.
+    assert [r.name for r in report.numerics_changed] == ["a"]
+    assert report.ok  # a numerics change is a verdict, not a regression
+    text = render_compare(report)
+    assert "numerics changed (1 benchmark(s); check differs):" in text
+    assert "  a: 2.19994988887 -> 2.19994997978" in text
+    assert "compare: no regressions" in text
+    same = render_compare(compare_payloads(base, base))
+    assert "numerics: every shared check matches" in same
+
+
+def test_compare_flags_a_check_that_appears_or_vanishes():
+    base = _synthetic_payload(a=(1.0, 1000))
+    cur = _with_checks(_synthetic_payload(a=(1.0, 1000)), a=0.5)
+    assert [r.name for r in compare_payloads(base, cur).numerics_changed] == ["a"]
+    assert [r.name for r in compare_payloads(cur, base).numerics_changed] == ["a"]
+
+
 # --------------------------------------------------------------------- #
 # CLI: self-compare exits 0, injected 2x slowdown exits 1
 
@@ -251,6 +293,19 @@ def test_cli_injected_slowdown_exits_nonzero(bench_file, tmp_path, capsys):
     code = main(["bench", "--input", str(bench_file), "--compare", str(slow_base),
                  "--report-only"])
     assert code == 0
+
+
+def test_cli_changed_check_keeps_exit_code(bench_file, tmp_path, capsys):
+    baseline = json.loads(bench_file.read_text())
+    first = baseline["benchmarks"][0]
+    first["check"] = "moved"
+    base = tmp_path / "BENCH_base.json"
+    base.write_text(json.dumps(baseline))
+    code = main(["bench", "--input", str(bench_file), "--compare", str(base)])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "numerics changed (1 benchmark(s); check differs):" in out
+    assert f"  {first['name']}: 'moved' -> " in out
 
 
 def test_cli_bare_compare_uses_newest_baseline(bench_file, tmp_path, monkeypatch, capsys):

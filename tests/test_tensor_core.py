@@ -19,6 +19,22 @@ class TestConstruction:
         with pytest.raises(TypeError):
             Tensor(np.array([1, 2, 3]), requires_grad=True)
 
+    @pytest.mark.parametrize(
+        "dtype",
+        [np.bool_, np.int8, np.int64, np.uint16, np.float16, np.float32,
+         np.float64, np.longdouble, np.complex64, np.complex128,
+         "datetime64[s]", "timedelta64[s]", object, "U3", "S3"],
+    )
+    def test_requires_grad_accepts_exactly_the_floating_dtypes(self, dtype):
+        # Tensor's cheap ``dtype.kind == "f"`` check must agree with
+        # np.issubdtype(..., np.floating) on every kind of dtype.
+        data = np.zeros(2, dtype=dtype)
+        if np.issubdtype(data.dtype, np.floating):
+            assert Tensor(data, requires_grad=True).requires_grad
+        else:
+            with pytest.raises(TypeError):
+                Tensor(data, requires_grad=True)
+
     def test_factories(self):
         assert zeros(2, 3).shape == (2, 3)
         assert ones(4).data.sum() == 4.0

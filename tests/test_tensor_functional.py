@@ -1,5 +1,7 @@
 """Gradcheck + semantics for every functional primitive."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,35 @@ class TestActivationGradients:
 
     def test_sigmoid(self):
         assert gradcheck(sigmoid, [_rand(4, 5, seed=4)])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_within_1e6_of_float64_reference(self, dtype):
+        # Declared numerics: the cube is two multiplies (not ``x**3``) and
+        # sech^2 comes from cosh (not ``1 - tanh^2``).  Forward and
+        # gradient must stay within 1e-6 of the float64 formula on
+        # |x| <= 10; ``1 - tanh^2`` misses that on the float32 gradient
+        # (~1.2e-6 near |x| = 5.4).
+        x = np.linspace(-10.0, 10.0, 200_001)
+        c = np.sqrt(2.0 / np.pi)
+        t = np.tanh(c * (x + 0.044715 * x**3))
+        ref_out = 0.5 * x * (1.0 + t)
+        ref_grad = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * c * (
+            1.0 + 3 * 0.044715 * x * x
+        )
+        xt = Tensor(x.astype(dtype), requires_grad=True)
+        out = gelu(xt)
+        out.backward(np.ones_like(xt.data))
+        assert out.dtype == dtype and xt.grad.dtype == dtype
+        assert np.abs(out.data - ref_out).max() <= 1e-6
+        assert np.abs(xt.grad - ref_grad).max() <= 1e-6
+
+    def test_gelu_gradient_finite_far_out(self):
+        # cosh overflows out here; that must stay silent and give sech^2 = 0.
+        x = tensor([-1e4, -100.0, 100.0, 1e4], requires_grad=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gelu(x).backward(np.ones(4, np.float32))
+        assert np.array_equal(x.grad, [0.0, 0.0, 1.0, 1.0])
 
     def test_sigmoid_extreme_values_stable(self):
         x = tensor([-100.0, 0.0, 100.0])
