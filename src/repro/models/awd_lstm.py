@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.models.pipeline_model import ActivationBundle, PipelineLayer, PipelineModel
 from repro.nn import Dropout, Embedding, Linear, LSTMCell, WeightDrop
-from repro.tensor import cross_entropy, stack
+from repro.tensor import cross_entropy, lstm_sequence
 
 __all__ = ["AWDConfig", "build_awd_lstm"]
 
@@ -67,13 +67,14 @@ class WeightDroppedLSTMLayer(PipelineLayer):
     def forward(self, bundle: ActivationBundle) -> ActivationBundle:
         x = bundle["hidden"]  # (B, T, D)
         cell: LSTMCell = self.wrapped.inner  # type: ignore[assignment]
-        h, c = cell.init_state(x.shape[0])
-        outs = []
-        for t in range(x.shape[1]):
-            h, c = self.wrapped(x[:, t, :], (h, c))
-            outs.append(h)
+        # Per-step DropConnect masks on W_hh, drawn as the per-step
+        # WeightDrop calls would draw them.
+        masks = self.wrapped.draw_masks(x.shape[1])
         out = dict(bundle)
-        out["hidden"] = stack(outs, axis=1)
+        out["hidden"] = lstm_sequence(
+            x, cell.weight_ih, cell.weight_hh, cell.bias, cell.hidden_size,
+            whh_masks=None if masks is None else masks["weight_hh"],
+        )
         return out
 
     def flops_per_sample(self) -> float:

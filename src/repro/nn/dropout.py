@@ -46,22 +46,43 @@ class WeightDrop(Module):
             if name not in params:
                 raise KeyError(f"WeightDrop: {name!r} not found in inner module parameters")
 
+    def draw_masks(self, steps: int = 1) -> dict[str, np.ndarray] | None:
+        """DropConnect masks for ``steps`` consecutive forward calls, each
+        weight's stacked on a leading ``steps`` axis; None when inactive.
+
+        One ``rng.random((steps, *shape))`` call yields the same stream as
+        ``steps`` per-call draws and leaves the generator in the same
+        state.  That holds for one dropped weight only: per-call draws
+        interleave several weights step by step.
+        """
+        if not (self.training and self.p > 0.0):
+            return None
+        if steps > 1 and len(self.weight_names) > 1:
+            raise ValueError("WeightDrop draws multi-step masks for one weight only")
+        params = dict(self.inner.named_parameters())
+        keep = 1.0 - self.p
+        masks = {}
+        for name in self.weight_names:
+            param = params[name]
+            draw = self._rng.random((steps, *param.shape))
+            masks[name] = (draw < keep).astype(param.dtype) / keep
+        return masks
+
     def forward(self, *args, **kwargs):
-        if self.training and self.p > 0.0:
-            params = dict(self.inner.named_parameters())
-            originals: dict[str, np.ndarray] = {}
-            keep = 1.0 - self.p
-            for name in self.weight_names:
-                param = params[name]
-                originals[name] = param.data
-                mask = (self._rng.random(param.shape) < keep).astype(param.dtype) / keep
-                param.data = param.data * mask
-            try:
-                return self.inner(*args, **kwargs)
-            finally:
-                for name, data in originals.items():
-                    params[name].data = data
-        return self.inner(*args, **kwargs)
+        masks = self.draw_masks()
+        if masks is None:
+            return self.inner(*args, **kwargs)
+        params = dict(self.inner.named_parameters())
+        originals: dict[str, np.ndarray] = {}
+        for name, mask in masks.items():
+            param = params[name]
+            originals[name] = param.data
+            param.data = param.data * mask[0]
+        try:
+            return self.inner(*args, **kwargs)
+        finally:
+            for name, data in originals.items():
+                params[name].data = data
 
     def __repr__(self) -> str:
         return f"WeightDrop(p={self.p}, weights={self.weight_names})"

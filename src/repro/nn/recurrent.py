@@ -3,8 +3,11 @@
 The cell computes the four gates in one fused matmul per input/hidden pair
 — ``gates = x @ W_ih^T + h @ W_hh^T + b`` — which keeps arithmetic
 intensity high per the HPC guides (one big GEMM instead of four small
-ones).  The sequence loop is unavoidable; everything inside it is
-vectorized over the batch.
+ones).  The time steps still run one after another, vectorized over the
+batch.  Layers that need only the hidden-state sequence (the GNMT encoder,
+AWD-LSTM) run the whole loop inside one ``lstm_sequence`` graph node with
+BPTT in its backward; this module's per-step cell serves callers that need
+each step's state, such as the attention decoder.
 """
 
 from __future__ import annotations

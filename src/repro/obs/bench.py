@@ -509,6 +509,18 @@ def _tensor_op_bench(op: str) -> Benchmark:
                 loss.backward()
                 return float(loss.item())
 
+        elif op == "lstm_sequence":
+            T_steps, B, D, H = 16, 32, 64, 64
+            x = randt(B, T_steps, D)
+            wih, whh, bias = randt(4 * H, D), randt(4 * H, H), randt(4 * H)
+
+            def run() -> float:
+                for p in (wih, whh, bias, x):
+                    p.grad = None
+                loss = F.lstm_sequence(x, wih, whh, bias, H).sum()
+                loss.backward()
+                return float(loss.item())
+
         elif op == "attention":
             B, Hh, T_seq, dh = 8, 4, 64, 32
             q, k, v = (randt(B, Hh, T_seq, dh) for _ in range(3))
@@ -580,6 +592,7 @@ def bench_catalog() -> list[Benchmark]:
     benches.extend(_sched_gen_bench(name) for name in VERIFIED_SCHEDULES)
     benches.extend([
         _tensor_op_bench("lstm_cell"),
+        _tensor_op_bench("lstm_sequence"),
         _tensor_op_bench("attention"),
         _tensor_op_bench("linear"),
         _tensor_op_bench("gelu"),

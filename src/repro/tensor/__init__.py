@@ -28,6 +28,7 @@ from repro.tensor.functional import (
     linear,
     log_softmax,
     lstm_cell,
+    lstm_sequence,
     nll_loss,
     relu,
     scaled_dot_attention,
@@ -63,6 +64,7 @@ __all__ = [
     "nll_loss",
     "linear",
     "lstm_cell",
+    "lstm_sequence",
     "scaled_dot_attention",
     "assert_preserves_dtype",
     "gradcheck",

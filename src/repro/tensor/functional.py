@@ -32,6 +32,7 @@ __all__ = [
     "where",
     "linear",
     "lstm_cell",
+    "lstm_sequence",
     "scaled_dot_attention",
     "assert_preserves_dtype",
 ]
@@ -305,6 +306,51 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return Tensor._make(out, parents, backward, "linear")
 
 
+def _lstm_gates(
+    gates: np.ndarray, c: np.ndarray, hs: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One LSTM step's gate nonlinearities and cell update.
+
+    ``gates`` holds the (B, 4H) i/f/g/o pre-activations.  One sigmoid
+    runs over the whole block (elementwise, so bitwise the per-gate
+    calls); its g columns are unused.  Returns ``(act, g, c_next,
+    tanh(c_next), h_next)``.
+    """
+    act = _sigmoid_raw(gates)
+    g = np.tanh(gates[:, 2 * hs : 3 * hs])
+    c_next = act[:, 1 * hs : 2 * hs] * c + act[:, 0 * hs : 1 * hs] * g
+    t = np.tanh(c_next)
+    h_next = act[:, 3 * hs : 4 * hs] * t
+    return act, g, c_next, t, h_next
+
+
+def _lstm_gates_backward(
+    gh: np.ndarray,
+    gc_ext: np.ndarray | None,
+    c: np.ndarray,
+    act: np.ndarray,
+    g: np.ndarray,
+    t: np.ndarray,
+    hs: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Backward of :func:`_lstm_gates`: ``(dgates, gc)`` from the hidden
+    gradient ``gh`` and the cell gradient ``gc_ext`` arriving from the
+    next step (None when nothing reaches ``c_next``)."""
+    i = act[:, 0 * hs : 1 * hs]
+    f = act[:, 1 * hs : 2 * hs]
+    o = act[:, 3 * hs : 4 * hs]
+    # Mirror the composed chain: h = o * tanh(c'), c' = f*c + i*g.
+    gc = (gh * o) * (1.0 - t * t)
+    if gc_ext is not None:
+        gc = gc_ext + gc
+    dgates = np.empty_like(act)
+    dgates[:, 0 * hs : 1 * hs] = (gc * g) * i * (1.0 - i)
+    dgates[:, 1 * hs : 2 * hs] = (gc * c) * f * (1.0 - f)
+    dgates[:, 2 * hs : 3 * hs] = (gc * i) * (1.0 - g * g)
+    dgates[:, 3 * hs : 4 * hs] = (gh * t) * o * (1.0 - o)
+    return dgates, gc
+
+
 def lstm_cell(
     x: Tensor,
     h: Tensor,
@@ -330,13 +376,7 @@ def lstm_cell(
     wihT = wih_tap.data
     whhT = whh_tap.data
     gates = (x.data @ wihT + h.data @ whhT) + bias.data
-    i = _sigmoid_raw(gates[:, 0 * hs : 1 * hs])
-    f = _sigmoid_raw(gates[:, 1 * hs : 2 * hs])
-    g = np.tanh(gates[:, 2 * hs : 3 * hs])
-    o = _sigmoid_raw(gates[:, 3 * hs : 4 * hs])
-    c_next = f * c.data + i * g
-    t = np.tanh(c_next)
-    h_next = o * t
+    act, g, c_next, t, h_next = _lstm_gates(gates, c.data, hs)
 
     if not (
         _grad_enabled()
@@ -356,18 +396,10 @@ def lstm_cell(
     def backward_h(gh: np.ndarray):
         gc_ext = ctx["gc"]
         ctx["gc"] = None
-        # Mirror the composed chain: h = o * tanh(c'), c' = f*c + i*g.
-        gc = (gh * o) * (1.0 - t * t)
-        if gc_ext is not None:
-            gc = gc_ext + gc
-        dgates = np.empty_like(gates)
-        dgates[:, 0 * hs : 1 * hs] = (gc * g) * i * (1.0 - i)
-        dgates[:, 1 * hs : 2 * hs] = (gc * c.data) * f * (1.0 - f)
-        dgates[:, 2 * hs : 3 * hs] = (gc * i) * (1.0 - g * g)
-        dgates[:, 3 * hs : 4 * hs] = (gh * t) * o * (1.0 - o)
+        dgates, gc = _lstm_gates_backward(gh, gc_ext, c.data, act, g, t, hs)
         dx = dgates @ np.swapaxes(wihT, -1, -2) if x.requires_grad else None
         dh = dgates @ np.swapaxes(whhT, -1, -2) if h.requires_grad else None
-        dc = gc * f if c.requires_grad else None
+        dc = gc * act[:, 1 * hs : 2 * hs] if c.requires_grad else None
         # Untransposed (in, 4*hidden) forms; the taps transpose them.
         dwih = (
             np.swapaxes(x.data, -1, -2) @ dgates
@@ -401,6 +433,101 @@ def lstm_cell(
 
     c_t = Tensor._make(c_next, (h_t,), backward_c, "lstm_cell_c")
     return h_t, c_t
+
+
+def lstm_sequence(
+    x: Tensor,
+    weight_ih: Tensor,
+    weight_hh: Tensor,
+    bias: Tensor,
+    hidden_size: int,
+    whh_masks: np.ndarray | None = None,
+) -> Tensor:
+    """Fused LSTM layer over a (B, T, D) sequence from a zero state.
+
+    One graph node for the whole sequence, returning the (B, T, H) hidden
+    states; the final (h, c) is not exposed.  Backward runs BPTT inside
+    the node.  Each step evaluates exactly the expressions of an
+    :func:`lstm_cell` chain over ``x[:, t, :]`` stacked on axis 1, and
+    the weight gradients are summed in that chain's tape order (W_hh
+    oldest step first, W_ih and bias newest first), so outputs and
+    gradients are bitwise identical to it.  ``whh_masks`` (T, 4H, H)
+    multiplies W_hh per step (WeightDrop's DropConnect); as in the chain,
+    W_hh's gradient is not masked.
+    """
+    if x.ndim != 3:
+        raise ValueError(f"lstm_sequence expects (B, T, D) input, got shape {x.shape}")
+    if x.shape[-1] != weight_ih.shape[1]:
+        raise ValueError(
+            f"lstm_sequence input dim {x.shape[-1]} != weight_ih in-dim {weight_ih.shape[1]}"
+        )
+    hs = hidden_size
+    batch, steps, _ = x.shape
+    if whh_masks is not None and whh_masks.shape != (steps, *weight_hh.shape):
+        raise ValueError(
+            f"lstm_sequence whh_masks must be {(steps, *weight_hh.shape)}, got {whh_masks.shape}"
+        )
+    xd = x.data
+    wih = weight_ih.data
+    wihT = wih.T
+    h = np.zeros((batch, hs), xd.dtype)
+    c = np.zeros((batch, hs), xd.dtype)
+    out = np.empty(
+        (batch, steps, hs), np.result_type(xd, wih, weight_hh.data, bias.data)
+    )
+    needs_grad = _grad_enabled() and (
+        x.requires_grad
+        or weight_ih.requires_grad
+        or weight_hh.requires_grad
+        or bias.requires_grad
+    )
+    # Per-step cache for BPTT: (h_prev, c_prev, W_hh as used, act, g, t).
+    cache: list[tuple[np.ndarray, ...]] = []
+    for step in range(steps):
+        whh = weight_hh.data if whh_masks is None else weight_hh.data * whh_masks[step]
+        gates = (xd[:, step, :] @ wihT + h @ whh.T) + bias.data
+        act, g, c_next, t, h_next = _lstm_gates(gates, c, hs)
+        out[:, step, :] = h_next
+        if needs_grad:
+            cache.append((h, c, whh, act, g, t))
+        h, c = h_next, c_next
+    if not needs_grad:
+        return Tensor(out)
+
+    def backward(g_out: np.ndarray):
+        dx = np.zeros_like(xd) if x.requires_grad else None
+        dwih = db = dh = dc = None
+        dgates_at: list = [None] * steps
+        for step in reversed(range(steps)):
+            _, c_prev, whh, act, g, t = cache[step]
+            gh = g_out[:, step, :] if dh is None else g_out[:, step, :] + dh
+            dgates, gc = _lstm_gates_backward(gh, dc, c_prev, act, g, t, hs)
+            dgates_at[step] = dgates
+            if step > 0:
+                dh = dgates @ whh
+                dc = gc * act[:, 1 * hs : 2 * hs]
+            if dx is not None:
+                dx[:, step, :] = dgates @ wih
+            if weight_ih.requires_grad:
+                gw = xd[:, step, :].T @ dgates
+                dwih = gw if dwih is None else np.add(dwih, gw, out=dwih)
+            if bias.requires_grad:
+                gb = _unbroadcast(dgates, bias.shape)
+                db = gb if db is None else np.add(db, gb, out=db)
+        dwhh = None
+        if weight_hh.requires_grad:
+            for step in range(steps):  # oldest step first
+                gw = cache[step][0].T @ dgates_at[step]
+                dwhh = gw if dwhh is None else np.add(dwhh, gw, out=dwhh)
+        # Untransposed (in, 4*hidden) sums, transposed as the chain's taps did.
+        return (
+            dx,
+            None if dwih is None else dwih.T,
+            None if dwhh is None else dwhh.T,
+            db,
+        )
+
+    return Tensor._make(out, (x, weight_ih, weight_hh, bias), backward, "lstm_sequence")
 
 
 def scaled_dot_attention(

@@ -279,3 +279,130 @@ def test_lstm_forward_matches_stack_of_steps_bitwise():
     assert gp1.keys() == gp2.keys() and gp1
     for name in gp1:
         _bits_equal(f"d{name}", gp1[name], gp2[name])
+
+
+# --------------------------------------------------------------------- #
+# lstm_sequence: one node with BPTT inside vs the per-step cell chain
+
+
+def _lstm_sequence_chain(x, wih, whh, bias, hs, masks):
+    """The per-step form ``lstm_sequence`` replaced: slice each step, run
+    ``lstm_cell`` (with W_hh masked for the call, as WeightDrop did) and
+    stack the hidden states."""
+    batch, steps, _ = x.shape
+    h = Tensor(np.zeros((batch, hs), x.dtype))
+    c = Tensor(np.zeros((batch, hs), x.dtype))
+    outs = []
+    for t in range(steps):
+        original = whh.data
+        if masks is not None:
+            whh.data = original * masks[t]
+        try:
+            h, c = F.lstm_cell(x[:, t, :], h, c, wih, whh, bias, hs)
+        finally:
+            whh.data = original
+        outs.append(h)
+    return F.stack(outs, axis=1)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("T", [1, 7, 12])
+def test_lstm_sequence_matches_cell_chain_bitwise(dtype, masked, T):
+    B, D, H = 5, 6, 8
+    rng = np.random.default_rng(6)
+    xv = rng.standard_normal((B, T, D)).astype(dtype)
+    wv = rng.standard_normal((4 * H, D)).astype(dtype)
+    uv = rng.standard_normal((4 * H, H)).astype(dtype)
+    bv = rng.standard_normal((4 * H,)).astype(dtype)
+    g = rng.standard_normal((B, T, H)).astype(dtype)
+    masks = None
+    if masked:
+        masks = (rng.random((T, 4 * H, H)) < 0.7).astype(dtype) / 0.7
+
+    def run(fused):
+        x, wih, whh, bias = (
+            Tensor(v.copy(), requires_grad=True) for v in (xv, wv, uv, bv)
+        )
+        if fused:
+            out = F.lstm_sequence(x, wih, whh, bias, H, whh_masks=masks)
+        else:
+            out = _lstm_sequence_chain(x, wih, whh, bias, H, masks)
+        out.backward(g)
+        return out.data, x.grad, wih.grad, whh.grad, bias.grad
+
+    ref = run(fused=False)
+    got = run(fused=True)
+    assert got[0].dtype == dtype
+    for name, a, b in zip(("fwd", "dx", "dwih", "dwhh", "db"), ref, got):
+        _bits_equal(name, a, b)
+
+
+# --------------------------------------------------------------------- #
+# the recurrent model layers: lstm_sequence vs their per-step loops
+
+
+def _awd_layer_per_step(self, bundle):
+    x = bundle["hidden"]
+    h, c = self.wrapped.inner.init_state(x.shape[0])
+    outs = []
+    for t in range(x.shape[1]):
+        h, c = self.wrapped(x[:, t, :], (h, c))
+        outs.append(h)
+    out = dict(bundle)
+    out["hidden"] = F.stack(outs, axis=1)
+    return out
+
+
+def _gnmt_encoder_per_step(self, bundle):
+    x = bundle[self.in_key]
+    h, c = self.cell.init_state(x.shape[0])
+    outs = []
+    for t in range(x.shape[1]):
+        h, c = self.cell(x[:, t, :], (h, c))
+        outs.append(h)
+    seq = F.stack(outs, axis=1)
+    out = dict(bundle)
+    out["enc_out"] = seq + x if self.residual else seq
+    out.pop("src_emb", None)
+    return out
+
+
+def _model_step(workload, per_step, monkeypatch):
+    from repro.models import awd_lstm, gnmt
+    from repro.models.registry import build_workload
+
+    if per_step:
+        monkeypatch.setattr(
+            awd_lstm.WeightDroppedLSTMLayer, "forward", _awd_layer_per_step
+        )
+        monkeypatch.setattr(gnmt.EncoderLSTMLayer, "forward", _gnmt_encoder_per_step)
+    spec = build_workload(workload)
+    model = spec.build_model().seed(3)
+    model.train()
+    batch = next(iter(spec.make_train_loader(spec.batch_size, 0)))
+    loss = model.loss(batch)
+    loss.backward()
+    grads = {name: p.grad for name, p in model.named_parameters()}
+    rngs = [
+        layer.wrapped._rng.bit_generator.state
+        for layer in model.layers
+        if isinstance(layer, awd_lstm.WeightDroppedLSTMLayer)
+    ]
+    monkeypatch.undo()
+    return loss.data, grads, rngs
+
+
+@pytest.mark.parametrize("workload", ["awd", "gnmt"])
+def test_recurrent_model_step_matches_per_step_layers_bitwise(workload, monkeypatch):
+    loss1, grads1, rngs1 = _model_step(workload, True, monkeypatch)
+    loss2, grads2, rngs2 = _model_step(workload, False, monkeypatch)
+    assert loss1.tobytes() == loss2.tobytes()
+    assert grads1.keys() == grads2.keys() and grads1
+    for name in grads1:
+        assert grads1[name] is not None, name
+        assert grads1[name].tobytes() == grads2[name].tobytes(), name
+    # WeightDrop's generators end where T per-step draws leave them, so
+    # checkpointed RNG streams are unchanged.
+    assert rngs1 == rngs2
+    assert len(rngs1) == (2 if workload == "awd" else 0)

@@ -109,6 +109,33 @@ class TestWeightDrop:
         (h.sum() + c.sum()).backward()
         assert cell.weight_hh.grad is not None
 
+    def test_block_masks_match_per_call_draws(self):
+        block, _ = self._make(0.3)
+        per_call, _ = self._make(0.3)
+        block.seed(5)
+        per_call.seed(5)
+        masks = block.draw_masks(6)["weight_hh"]
+        # The per-call expression WeightDrop.forward used before block draws.
+        steps = [
+            (per_call._rng.random((16, 4)) < 0.7).astype(np.float32) / 0.7
+            for _ in range(6)
+        ]
+        assert masks.shape == (6, 16, 4) and masks.dtype == np.float32
+        assert masks.tobytes() == np.stack(steps).tobytes()
+        assert block._rng.bit_generator.state == per_call._rng.bit_generator.state
+
+    def test_no_masks_when_inactive(self):
+        wd, _ = self._make(0.5)
+        wd.eval()
+        assert wd.draw_masks(3) is None
+        assert self._make(0.0)[0].draw_masks(3) is None
+
+    def test_multi_step_masks_need_a_single_weight(self):
+        wd = WeightDrop(LSTMCell(4, 4), ["weight_hh", "weight_ih"], p=0.5)
+        assert set(wd.draw_masks()) == {"weight_hh", "weight_ih"}
+        with pytest.raises(ValueError, match="one weight"):
+            wd.draw_masks(2)
+
 
 class TestDropoutLayer:
     def test_invalid_p(self):

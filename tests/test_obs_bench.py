@@ -76,8 +76,8 @@ def test_catalog_covers_the_hot_paths():
     # every fused tensor kernel BERT and AWD spend their time in
     tensor = {b.name for b in select_suite("tensor")}
     assert tensor == {
-        "tensor.lstm_cell", "tensor.attention", "tensor.linear",
-        "tensor.gelu", "tensor.layer_norm",
+        "tensor.lstm_cell", "tensor.lstm_sequence", "tensor.attention",
+        "tensor.linear", "tensor.gelu", "tensor.layer_norm",
     }
     # one generation benchmark per registered schedule
     from repro.verify import VERIFIED_SCHEDULES

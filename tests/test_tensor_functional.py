@@ -15,6 +15,7 @@ from repro.tensor import (
     gradcheck,
     layer_norm,
     log_softmax,
+    lstm_sequence,
     nll_loss,
     relu,
     sigmoid,
@@ -24,6 +25,7 @@ from repro.tensor import (
     tensor,
     where,
 )
+from repro.tensor import no_grad
 
 
 def _rand(*shape, seed=0):
@@ -231,3 +233,54 @@ class TestShapeCombinators:
         where(cond, a, b).sum().backward()
         assert np.allclose(a.grad, [1, 0, 1])
         assert np.allclose(b.grad, [0, 1, 0])
+
+
+class TestLstmSequence:
+    H = 3
+
+    def _weights(self, D=2):
+        H = self.H
+        return _rand(4 * H, D, seed=30), _rand(4 * H, H, seed=31), _rand(4 * H, seed=32)
+
+    def test_gradcheck_through_time(self):
+        wih, whh, b = self._weights()
+        x = _rand(2, 4, 2, seed=33)
+        assert gradcheck(lambda *a: lstm_sequence(*a, self.H), [x, wih, whh, b])
+
+    def test_gradcheck_with_masks(self):
+        # W_hh is left out: as in WeightDrop's per-step form, its gradient
+        # is not masked.
+        wih, whh, b = self._weights()
+        x = _rand(2, 4, 2, seed=33)
+        masks = (np.random.default_rng(34).random((4, 4 * self.H, self.H)) < 0.6) / 0.6
+        assert gradcheck(
+            lambda xx, w, bb: lstm_sequence(xx, w, whh, bb, self.H, whh_masks=masks),
+            [x, wih, b],
+        )
+
+    def test_no_grad_builds_no_node(self):
+        wih, whh, b = self._weights()
+        x = _rand(2, 5, 2, seed=35)
+        out = lstm_sequence(x, wih, whh, b, self.H)
+        with no_grad():
+            plain = lstm_sequence(x, wih, whh, b, self.H)
+        assert out.requires_grad and not plain.requires_grad
+        assert plain._backward_fn is None
+        assert np.array_equal(out.data, plain.data)
+
+    def test_rejects_non_3d_input(self):
+        wih, whh, b = self._weights()
+        with pytest.raises(ValueError, match=r"\(B, T, D\)"):
+            lstm_sequence(_rand(2, 2, seed=36), wih, whh, b, self.H)
+
+    def test_rejects_input_dim_mismatch(self):
+        wih, whh, b = self._weights(D=2)
+        with pytest.raises(ValueError, match="input dim 5"):
+            lstm_sequence(_rand(2, 4, 5, seed=37), wih, whh, b, self.H)
+
+    def test_rejects_misshaped_masks(self):
+        wih, whh, b = self._weights()
+        x = _rand(2, 4, 2, seed=38)
+        for shape in [(3, 4 * self.H, self.H), (4 * self.H, self.H), (4, self.H, 4 * self.H)]:
+            with pytest.raises(ValueError, match="whh_masks"):
+                lstm_sequence(x, wih, whh, b, self.H, whh_masks=np.ones(shape))
