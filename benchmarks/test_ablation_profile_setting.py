@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.core.predictor import Predictor
 from repro.core.profiler import Profiler
-from repro.graph import LayerCost, partition_model
+from repro.graph import LayerCost, partition_balanced
 from repro.schedules import AdvanceFPSchedule
 from repro.sim import ClusterSpec
 from repro.utils import format_table
@@ -31,7 +31,7 @@ def _profiler() -> Profiler:
         for i in range(12)
     ]
     spec = ClusterSpec(nodes=3, gpus_per_node=2, memory_bytes=16 * GIB)
-    partition = partition_model(
+    partition = partition_balanced(
         costs, 6, bandwidth_bytes_per_sec=spec.inter_node_bandwidth,
         flops_per_sec=spec.peak_flops,
     )

@@ -14,7 +14,7 @@ from repro.schedules import (
     StageCosts,
     simulate_interleaved,
 )
-from repro.graph.partitioner import partition_model
+from repro.graph.partitioner import partition_balanced
 from repro.sim import ClusterSpec, Simulator, make_cluster
 from repro.utils import format_table
 
@@ -38,7 +38,7 @@ def _cluster():
 
 def _avgpipe(layers, num_micro, mb):
     cluster = _cluster()
-    partition = partition_model(layers, 6, bandwidth_bytes_per_sec=cluster.spec.inter_node_bandwidth,
+    partition = partition_balanced(layers, 6, bandwidth_bytes_per_sec=cluster.spec.inter_node_bandwidth,
                                 flops_per_sec=cluster.spec.peak_flops)
     costs = StageCosts.from_partition(layers, partition, mb)
     runner = PipelineSimRunner(cluster, AdvanceFPSchedule(2), costs, num_micro=num_micro,

@@ -15,7 +15,7 @@ like the paper's workloads, which is the point: the machinery is generic.
 import numpy as np
 
 from repro.core import ElasticAveragingFramework
-from repro.graph import model_costs, partition_model
+from repro.graph import model_costs, partition_balanced
 from repro.models.pipeline_model import ActivationBundle, PipelineLayer, PipelineModel
 from repro.nn import Linear
 from repro.optim import Adam
@@ -89,7 +89,7 @@ def build_autoencoder(width: int = 64, depth: int = 6) -> PipelineModel:
 def main() -> None:
     model = build_autoencoder()
     costs = model_costs(model)
-    partition = partition_model(costs, num_stages=4, bandwidth_bytes_per_sec=1.25e8, flops_per_sec=2e8)
+    partition = partition_balanced(costs, num_stages=4, bandwidth_bytes_per_sec=1.25e8, flops_per_sec=2e8)
     print("Partition boundaries over 4 simulated GPUs:", partition.boundaries)
 
     # Simulate two schedules on a 2-node cluster.

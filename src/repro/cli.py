@@ -951,9 +951,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: count flags that must be positive wherever a command takes them
+_POSITIVE_FLAGS = ("max_pipelines", "epochs")
+
+
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
+    for dest in _POSITIVE_FLAGS:
+        value = getattr(args, dest, None)
+        if value is not None and value < 1:
+            flag = "--" + dest.replace("_", "-")
+            print(f"{flag} must be a positive integer, got {value}", file=sys.stderr)
+            return 2
     return args.fn(args)
 
 

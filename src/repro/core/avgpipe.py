@@ -90,7 +90,7 @@ class AvgPipe:
         tuner = ProfilingTuner(self._profiler(AdvanceFPSchedule(advance=0)), limit)
         outcome = tuner.tune(
             m_candidates=default_m_candidates(self.calibration.batch_size),
-            n_candidates=n_candidates or [1, 2, 3, 4],
+            n_candidates=[1, 2, 3, 4] if n_candidates is None else n_candidates,
         )
         # Phase 2: Algorithm 1 — grow advance while faster and in memory.
         advance = 0

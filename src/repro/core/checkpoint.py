@@ -66,27 +66,27 @@ def save_trainer(trainer: AvgPipeTrainer, path: str | pathlib.Path) -> None:
     """Serialize an AvgPipe trainer's full training state to ``path``."""
     path = pathlib.Path(path)
     arrays: dict[str, np.ndarray] = {}
+    elastic = trainer.framework.state_dict()
     manifest = {
         "format": _FORMAT_VERSION,
         "num_pipelines": trainer.num_pipelines,
-        "alpha": trainer.framework.alpha,
-        "queue_delay": trainer.framework.queue.delay,
-        "queue_now": trainer.framework.queue.now,
-        "update_normalization": trainer.framework.update_normalization,
+        "alpha": elastic["alpha"],
+        "queue_delay": elastic["queue_delay"],
+        "queue_now": elastic["queue_now"],
+        "update_normalization": elastic["update_normalization"],
         "optimizer_lrs": [opt.lr for opt in trainer.optimizers],
-        "alpha_auto": trainer.framework._alpha_auto,
+        "alpha_auto": elastic["alpha_auto"],
         "rng": [_model_rng_states(m) for m in trainer.models],
     }
     for i, model in enumerate(trainer.models):
         arrays.update(_flatten(f"model{i}", model.state_dict()))
-    arrays.update(_flatten("reference", trainer.framework.reference))
-    arrays.update(_flatten("accumulated", trainer.framework._accumulated))
-    manifest["received"] = trainer.framework._received
+    arrays.update(_flatten("reference", elastic["reference"]))
+    arrays.update(_flatten("accumulated", elastic["accumulated"]))
+    manifest["received"] = elastic["received"]
     # In-flight queue messages (deltas posted but not yet visible).
-    pending = list(trainer.framework.queue._pending)
-    manifest["queue_visible_at"] = [env.visible_at for env in pending]
-    for j, env in enumerate(pending):
-        arrays.update(_flatten(f"queue{j}", env.payload))
+    manifest["queue_visible_at"] = [visible_at for visible_at, _ in elastic["pending"]]
+    for j, (_, payload) in enumerate(elastic["pending"]):
+        arrays.update(_flatten(f"queue{j}", payload))
     for i, opt in enumerate(trainer.optimizers):
         opt_state = opt.state_dict()
         for slot, entry in opt_state["state"].items():
@@ -125,37 +125,28 @@ def load_trainer(
                 )
             while trainer.num_pipelines > ckpt_n:
                 trainer.evict_pipeline(trainer.num_pipelines - 1)
-        for i, model in enumerate(trainer.models):
-            prefix = f"model{i}/"
-            state = {
+
+        def group(prefix: str) -> dict[str, np.ndarray]:
+            return {
                 key[len(prefix):]: data[key] for key in data.files if key.startswith(prefix)
             }
-            model.load_state_dict(state)
-        ref_state = {
-            key[len("reference/"):]: data[key]
-            for key in data.files
-            if key.startswith("reference/")
-        }
-        for name, value in ref_state.items():
-            trainer.framework.reference[name] = value.copy()
-        for key in data.files:
-            if key.startswith("accumulated/"):
-                trainer.framework._accumulated[key[len("accumulated/"):]] = data[key].copy()
-        trainer.framework._received = manifest["received"]
-        # Rebuild the in-flight queue with its original visibility clock.
-        from repro.core.messages import MessageQueue, _Envelope
 
-        queue = MessageQueue(delay=manifest["queue_delay"], name="updates")
-        queue._now = manifest["queue_now"]
-        for j, visible_at in enumerate(manifest["queue_visible_at"]):
-            prefix = f"queue{j}/"
-            payload = {
-                key[len(prefix):]: data[key].copy()
-                for key in data.files
-                if key.startswith(prefix)
-            }
-            queue._pending.append(_Envelope(payload, visible_at))
-        trainer.framework.queue = queue
+        for i, model in enumerate(trainer.models):
+            model.load_state_dict(group(f"model{i}/"))
+        trainer.framework.load_state_dict({
+            "alpha": manifest["alpha"],
+            "alpha_auto": manifest.get("alpha_auto", False),
+            "update_normalization": manifest["update_normalization"],
+            "reference": group("reference/"),
+            "accumulated": group("accumulated/"),
+            "received": manifest["received"],
+            "queue_delay": manifest["queue_delay"],
+            "queue_now": manifest["queue_now"],
+            "pending": [
+                (visible_at, group(f"queue{j}/"))
+                for j, visible_at in enumerate(manifest["queue_visible_at"])
+            ],
+        })
         for i, opt in enumerate(trainer.optimizers):
             prefix = f"opt{i}/"
             entries: dict[int, dict] = {}
@@ -168,9 +159,6 @@ def load_trainer(
                     value.item() if value.ndim == 0 else value
                 )
             opt.load_state_dict({"lr": manifest["optimizer_lrs"][i], "state": entries})
-        trainer.framework.alpha = manifest["alpha"]
-        trainer.framework.update_normalization = manifest["update_normalization"]
-        trainer.framework._alpha_auto = manifest.get("alpha_auto", False)
         for model, states in zip(trainer.models, manifest.get("rng", [])):
             _restore_model_rngs(model, states)
     return trainer

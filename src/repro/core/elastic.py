@@ -23,11 +23,18 @@ With a synchronous queue, "mean" keeps the reference a bounded-lag
 tracker of the parallel-model average — an invariant the tests assert;
 with an async queue, step 2 may see a reference that lags by the queue
 delay, which is the configuration the paper runs.
+
+Every rule is elementwise, so each runs once over the concatenated
+parameter vector: the reference and the accumulator are flat float32
+vectors in the models' shared walk order, and the framework is their
+only writer (see docs/elastic_averaging.md, "State layout").
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from functools import reduce
+from types import MappingProxyType
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -43,50 +50,8 @@ StateDict = dict[str, np.ndarray]
 _RMS_BUCKETS = tuple(1e-8 * (2.0**i) for i in range(30))
 
 
-class _FlatDict(dict):
-    """A StateDict whose values are views into one flat float32 vector.
-
-    Reads behave exactly like a plain dict of arrays.  The hot paths use
-    ``flat`` directly to run one fused sweep over all parameters instead
-    of one ufunc dispatch per parameter; any *rebinding* mutation drops
-    ``flat`` so a modified snapshot silently degrades to the per-name
-    path (in-place writes through the views stay coherent — they alias
-    the vector).
-    """
-
-    __slots__ = ("flat",)
-
-    def __init__(self, entries, flat: np.ndarray) -> None:
-        super().__init__(entries)
-        self.flat: np.ndarray | None = flat
-
-    def __setitem__(self, key, value):
-        self.flat = None
-        super().__setitem__(key, value)
-
-    def __delitem__(self, key):
-        self.flat = None
-        super().__delitem__(key)
-
-    def update(self, *args, **kwargs):
-        self.flat = None
-        super().update(*args, **kwargs)
-
-    def pop(self, *args):
-        self.flat = None
-        return super().pop(*args)
-
-    def popitem(self):
-        self.flat = None
-        return super().popitem()
-
-    def setdefault(self, key, default=None):
-        self.flat = None
-        return super().setdefault(key, default)
-
-    def clear(self):
-        self.flat = None
-        super().clear()
+def _layout(model: PipelineModel) -> list[tuple[str, tuple[int, ...]]]:
+    return [(name, p.data.shape) for name, p in model.named_parameters()]
 
 
 class ElasticAveragingFramework:
@@ -95,8 +60,9 @@ class ElasticAveragingFramework:
     Parameters
     ----------
     parallel_models:
-        The N models, structurally identical, typically initialized from
-        the same seed (the reference starts at their common value).
+        The N models, structurally identical (same parameter walk order,
+        shapes and a single dtype), typically initialized from the same
+        seed (the reference starts at their common value).
     alpha:
         Elastic pull coefficient; ``None`` means the paper's 1/N default.
     queue_delay:
@@ -135,29 +101,113 @@ class ElasticAveragingFramework:
         #:     compressed learning rates, so it is opt-in.
         #: See docs/elastic_averaging.md for the statistical analysis.
         self.update_normalization = update_normalization
-        names = [sorted(name for name, _ in m.named_parameters()) for m in self.models]
-        if any(ns != names[0] for ns in names[1:]):
+        self._names_shapes = _layout(self.models[0])
+        if any(_layout(m) != self._names_shapes for m in self.models[1:]):
             raise ValueError("parallel models have mismatched parameter structure")
-        # Reference starts at the average of the parallel models.
-        self.reference: StateDict = self._average_state()
-        self.queue: MessageQueue[StateDict] = MessageQueue(delay=queue_delay, name="updates")
+        dtypes = {p.data.dtype for m in self.models for p in m.parameters()}
+        if len(dtypes) != 1:
+            raise TypeError(f"parallel models mix parameter dtypes {sorted(map(str, dtypes))}")
+        dtype = dtypes.pop()
+        # One (slice, shape) per parameter over the flat vectors.
+        ends = np.cumsum([0] + [int(np.prod(s)) for _, s in self._names_shapes]).tolist()
+        self._slices = [(slice(a, b), s) for a, b, (_, s) in zip(ends, ends[1:], self._names_shapes)]
+        off = ends[-1]
+        self._ref = np.empty(off, dtype=np.float32)
+        self._acc = np.zeros(off, dtype=np.float32)
+        self._reference = MappingProxyType(self._named_views(self._ref))
+        for view in self._reference.values():
+            view.flags.writeable = False
+        # Two gather buffers in the parameters' dtype: the hot path's only
+        # fresh allocations are the arrays that outlive the call (the
+        # queued Δ and the diluted parameter vector).
+        self._work = (np.empty(off, dtype=dtype), np.empty(off, dtype=dtype))
+        self.queue: MessageQueue[np.ndarray] = MessageQueue(delay=queue_delay, name="updates")
         self._received = 0
-        # Parameter lists and per-name scratch buffers for the hot
-        # capture/commit/apply path.  Model structure is fixed between
-        # membership changes (all layers create their parameters in
-        # __init__), so the traversal is done once here and redone only
-        # in _discard_round.
-        self._rebuild_param_cache()
         #: optional repro.obs MetricRegistry: commit() publishes the RMS
         #: magnitude of each α-pull and reference_step() the RMS of each
         #: applied reference update.  All telemetry is computed from
         #: values the update rules produce anyway, so instrumented and
         #: bare runs evolve the weights bitwise identically (tested).
         self.registry = registry
+        # Reference starts at the average of the parallel models.
+        self.recenter()
 
     @property
     def num_parallel(self) -> int:
         return len(self.models)
+
+    @property
+    def reference(self) -> Mapping[str, np.ndarray]:
+        """Read-only ``{name: array}`` views of the flat reference."""
+        return self._reference
+
+    def _named_views(self, flat: np.ndarray) -> StateDict:
+        return {
+            name: flat[sl].reshape(shape)
+            for (name, _), (sl, shape) in zip(self._names_shapes, self._slices)
+        }
+
+    def _gather(self, named: Mapping[str, np.ndarray], what: str) -> np.ndarray:
+        """Concatenate a ``{name: array}`` state into walk order (a copy)."""
+        if set(named) != {name for name, _ in self._names_shapes}:
+            raise KeyError(f"{what} does not match the parameter names")
+        if any(np.shape(named[name]) != shape for name, shape in self._names_shapes):
+            raise ValueError(f"{what} does not match the parameter shapes")
+        return np.concatenate([np.ravel(named[name]) for name, _ in self._names_shapes])
+
+    # ------------------------------------------------------------------ #
+    # state: the framework is the only writer of the reference, the
+    # accumulator and the queue's in-flight deltas
+
+    def state_dict(self) -> dict[str, Any]:
+        """A copy of every piece of averaging state (checkpointing).
+
+        The reference, the accumulator and each in-flight delta come back
+        as ``{name: array}`` dicts in the parameter walk order; pending
+        deltas are ``(visible_at, {name: array})`` pairs in queue order.
+        """
+        return {
+            "alpha": self.alpha,
+            "alpha_auto": self._alpha_auto,
+            "update_normalization": self.update_normalization,
+            "reference": self._named_views(self._ref.copy()),
+            "accumulated": self._named_views(self._acc.copy()),
+            "received": self._received,
+            "queue_delay": self.queue.delay,
+            "queue_now": self.queue.now,
+            "pending": [
+                (visible_at, self._named_views(delta.copy()))
+                for visible_at, delta in self.queue.pending()
+            ],
+        }
+
+    def load_state_dict(self, state: Mapping[str, Any]) -> None:
+        """Restore state produced by :meth:`state_dict` (or a checkpoint)."""
+        reference = self._gather(state["reference"], "reference")
+        accumulated = self._gather(state["accumulated"], "accumulated")
+        pending = [
+            (int(visible_at), self._gather(delta, "pending delta"))
+            for visible_at, delta in state["pending"]
+        ]
+        self.alpha = float(state["alpha"])
+        self._alpha_auto = bool(state["alpha_auto"])
+        self.update_normalization = state["update_normalization"]
+        self._ref[...] = reference
+        self._acc[...] = accumulated
+        self._received = int(state["received"])
+        self.queue = MessageQueue(delay=int(state["queue_delay"]), name=self.queue.name)
+        self.queue.restore(int(state["queue_now"]), pending)
+
+    def recenter(self) -> None:
+        """Reset the reference to the parallel models' average and discard
+        the in-flight round (construction, and a restart that lost every
+        process's state)."""
+        flats = (
+            np.concatenate([p.data.ravel() for p in m.parameters()]).astype(np.float64)
+            for m in self.models
+        )
+        self._ref[...] = reduce(np.add, flats) / len(self.models)
+        self._discard_round()
 
     # ------------------------------------------------------------------ #
     # elastic resize (repro.resilience): evict / rejoin pipelines
@@ -208,8 +258,7 @@ class ElasticAveragingFramework:
         delta is measured from the reference, exactly as if it had always
         been there at the fixed point.  Returns the new model's index.
         """
-        names = sorted(name for name, _ in model.named_parameters())
-        if names != sorted(self.reference):
+        if _layout(model) != self._names_shapes:
             raise ValueError("rejoining model has mismatched parameter structure")
         if seed_from_reference:
             model.load_state_dict(self.reference)
@@ -223,184 +272,52 @@ class ElasticAveragingFramework:
         """Reset the in-flight accumulate round after a membership change."""
         self._received = 0
         self.queue.clear()
-        self._rebuild_param_cache()
-
-    def _rebuild_param_cache(self) -> None:
-        """Flatten each model's parameter walk and allocate scratch.
-
-        The scratch buffers hold the elementwise temporaries of the
-        dilution/apply arithmetic over the *concatenated* parameter
-        vector, so the hot path runs a handful of fused sweeps instead of
-        four ufunc dispatches per parameter.  Also (re)creates the
-        accumulator: when every reference entry is float32 and the models
-        agree on walk order, ``_accumulated`` becomes views into one flat
-        vector (``_acc_flat``) so arriving flat deltas accumulate in a
-        single add — rebuilding it here also resets the in-flight round.
-        """
+        self._acc.fill(0.0)
         self._param_lists = [list(m.named_parameters()) for m in self.models]
-        total = sum(v.size for v in self.reference.values())
-        # Five persistent flat workspaces (gathered data / before / ref and
-        # two elementwise temporaries): the hot path's only fresh
-        # allocations are the arrays that outlive the call (the queued Δ
-        # and the new diluted / reference vectors).
-        self._flat_bufs = tuple(np.empty(total, dtype=np.float32) for _ in range(5))
-        # Canonical flat layout: model 0's walk order.  The flat paths
-        # require every model to share it (delta vectors are laid out in
-        # the committing model's order) and an all-float32 reference.
-        names = [name for name, _ in self._param_lists[0]]
-        self._names = names
-        f32 = np.float32
-        flat_ok = (
-            set(names) == set(self.reference)
-            and all(
-                [n for n, _ in plist] == names for plist in self._param_lists[1:]
-            )
-            and all(v.dtype == f32 for v in self.reference.values())
-        )
-        if flat_ok:
-            acc_flat = np.zeros(total, dtype=f32)
-            acc: StateDict = {}
-            off = 0
-            for name in names:
-                ref = self.reference[name]
-                end = off + ref.size
-                acc[name] = acc_flat[off:end].reshape(ref.shape)
-                off = end
-            self._accumulated = acc
-            self._acc_flat: np.ndarray | None = acc_flat
-            # Identity fingerprints of the views: external code that
-            # *rebinds* an entry (checkpoint restore) breaks the aliasing,
-            # which _acc_views_valid detects before any flat accumulate.
-            self._acc_views = tuple(acc[name] for name in names)
-        else:
-            self._accumulated = {
-                k: np.zeros_like(v) for k, v in self.reference.items()
-            }
-            self._acc_flat = None
-            self._acc_views = ()
-
-    def _acc_views_valid(self) -> bool:
-        acc = self._accumulated
-        return len(acc) == len(self._acc_views) and all(
-            acc.get(name) is view
-            for name, view in zip(self._names, self._acc_views)
-        )
 
     # ------------------------------------------------------------------ #
     # pipeline-side steps
 
     def capture(self, index: int) -> StateDict:
         """Snapshot model ``index`` before its optimizer step (step 1)."""
-        plist = self._param_lists[index]
-        f32 = np.float32
-        if all(p.data.dtype == f32 for _, p in plist):
-            # One concatenated copy plus per-name views: the same values
-            # as per-name copies, but commit() can consume the flat
-            # vector directly instead of re-gathering the snapshot.
-            flat = np.concatenate([p.data.ravel() for _, p in plist])
-            entries = []
-            off = 0
-            for name, p in plist:
-                end = off + p.data.size
-                entries.append((name, flat[off:end].reshape(p.data.shape)))
-                off = end
-            return _FlatDict(entries, flat)
-        return {name: p.data.copy() for name, p in plist}
+        return {name: p.data.copy() for name, p in self._param_lists[index]}
 
     def commit(self, index: int, before: Mapping[str, np.ndarray]) -> None:
-        """After the optimizer step: compute Δ, dilute, post (steps 2-3)."""
-        track = self.registry is not None and self.registry.enabled
-        alpha = self.alpha
-        keep = 1.0 - alpha
-        reference = self.reference
+        """After the optimizer step: compute Δ, dilute, post (steps 2-3).
+
+        ``casting="no"`` makes the gathers the dtype guard too: a
+        parameter an optimizer rebound to another dtype raises instead of
+        being silently cast.
+        """
         plist = self._param_lists[index]
-        delta: StateDict = {}
-        f32 = np.float32
-        # Flat fast path.  Δ and the dilution are purely elementwise, so
-        # computing them over the concatenated parameter vector is bitwise
-        # identical to the per-parameter loop below — at a handful of
-        # ufunc dispatches total instead of four per parameter.  Requires
-        # uniform float32: a model whose optimizer promoted a weight to
-        # float64 must keep the per-parameter promoting expressions, bit
-        # for bit.  The dtype guard doubles as the gather pass.
-        fast = not track
-        if fast:
-            data_r = []
-            ref_r = []
-            for name, p in plist:
-                d = p.data
-                r = reference[name]
-                if d.dtype != f32 or r.dtype != f32:
-                    fast = False
-                    break
-                data_r.append(d.ravel())
-                ref_r.append(r.ravel())
-        if fast:
-            bflat = before.flat if type(before) is _FlatDict else None
-            before_r: list[np.ndarray] = []
-            if bflat is None:
-                for name, _ in plist:
-                    b = before[name]
-                    if b.dtype != f32:
-                        fast = False
-                        break
-                    before_r.append(b.ravel())
-        if fast:
-            b_data, b_before, b_ref, s0, s1 = self._flat_bufs
-            try:
-                data_flat = np.concatenate(data_r, out=b_data)
-                ref_flat = np.concatenate(ref_r, out=b_ref)
-                if bflat is not None and bflat.size == data_flat.size:
-                    before_flat = bflat
-                else:
-                    before_flat = np.concatenate(
-                        before_r or [before[name].ravel() for name, _ in plist],
-                        out=b_before,
-                    )
-                delta_flat = data_flat - before_flat
-                np.multiply(keep, data_flat, out=s0)
-                np.multiply(alpha, ref_flat, out=s1)
-                diluted_flat = np.add(s0, s1)
-            except ValueError:
-                # Stale workspaces (external surgery changed parameter
-                # sizes): same arithmetic over fresh concatenations.
-                data_flat = np.concatenate(data_r)
-                ref_flat = np.concatenate(ref_r)
-                if bflat is not None and bflat.size == data_flat.size:
-                    before_flat = bflat
-                else:
-                    before_flat = np.concatenate(
-                        before_r or [before[name].ravel() for name, _ in plist]
-                    )
-                delta_flat = data_flat - before_flat
-                diluted_flat = keep * data_flat + alpha * ref_flat
-            off = 0
-            for name, param in plist:
-                shape = param.data.shape
-                end = off + param.data.size
-                delta[name] = delta_flat[off:end].reshape(shape)
-                param.data = diluted_flat[off:end].reshape(shape)
-                off = end
-            self.queue.put(_FlatDict(delta, delta_flat))
-            return
-        pull_sq, size = 0.0, 0
-        for name, param in plist:
-            data = param.data
-            delta[name] = data - before[name]
-            # Step 2: dilute toward the (possibly stale) reference.
-            diluted = keep * data + alpha * reference[name]
-            if track:
-                move = diluted.astype(np.float64) - data
-                pull_sq += float((move**2).sum())
-                size += move.size
-            param.data = diluted
+        data, work = self._work
+        np.concatenate([p.data.ravel() for _, p in plist], out=data, casting="no")
+        np.concatenate([before[name].ravel() for name, _ in plist], out=work, casting="no")
+        delta = data - work
+        # Step 2: dilute toward the (possibly stale) reference.  α·x_ref
+        # runs in the reference's float32 and is widened on store, like
+        # the composed expression (1−α)·x′ + α·x_ref.
+        np.multiply(self.alpha, self._ref, out=work)
+        diluted = np.multiply(1.0 - self.alpha, data)
+        diluted += work
+        for (_, param), (sl, shape) in zip(plist, self._slices):
+            param.data = diluted[sl].reshape(shape)
         self.queue.put(delta)
-        if track:
+        if self.registry is not None and self.registry.enabled:
+            move = diluted.astype(np.float64) - data
             self.registry.counter("elastic.commits", model=index).inc()
             self.registry.histogram(
                 "elastic.pull_rms", buckets=_RMS_BUCKETS, model=index
-            ).observe(float(np.sqrt(pull_sq / max(size, 1))))
+            ).observe(self._rms(move))
             self.registry.gauge("elastic.alpha").set(self.alpha)
+
+    def _rms(self, values: np.ndarray) -> float:
+        """RMS of a flat float64 vector, summed per parameter slice."""
+        squares = values**2
+        total = 0.0
+        for sl, _ in self._slices:
+            total += float(squares[sl].sum())
+        return float(np.sqrt(total / max(values.size, 1)))
 
     # ------------------------------------------------------------------ #
     # reference-side steps
@@ -410,88 +327,22 @@ class ElasticAveragingFramework:
 
         Returns True if the reference advanced this call.
         """
-        acc_flat = self._acc_flat
-        if acc_flat is not None and not self._acc_views_valid():
-            # External code rebound accumulator entries (checkpoint
-            # restore does).  The flat vector no longer backs the dict —
-            # drop it and stay on the per-name path until the next
-            # rebuild.
-            acc_flat = self._acc_flat = None
-            self._acc_views = ()
+        acc = self._acc
         for delta in self.queue.drain():
-            flat = delta.flat if type(delta) is _FlatDict else None
-            if acc_flat is not None and flat is not None and flat.size == acc_flat.size:
-                # Both sides laid out in self._names order (commit and
-                # _rebuild_param_cache share it): one add for the whole
-                # delta, bitwise identical per element to the loop below.
-                acc_flat += flat
-            else:
-                accumulated = self._accumulated
-                for name, value in delta.items():
-                    accumulated[name] += value
+            acc += delta
             self._received += 1
         if self._received < self.num_parallel:
             return False
-        track = self.registry is not None and self.registry.enabled
-        update_sq, size = 0.0, 0
         scale = 1.0 if self.update_normalization == "sum" else 1.0 / self.num_parallel
-        accumulated = self._accumulated
-        reference = self.reference
-        f32 = np.float32
-        names = self._names
-        if (
-            not track
-            and acc_flat is not None
-            and len(reference) == len(names)
-            and all(
-                (r := reference.get(name)) is not None and r.dtype == f32
-                for name in names
-            )
-        ):
-            # Flat fast path — same elementwise arithmetic as the loop
-            # below over the concatenated vectors (see commit()).  The
-            # accumulator is already flat; only the reference needs a
-            # gather.
-            try:
-                _b0, _b1, b_ref, s0, _s1 = self._flat_bufs
-                try:
-                    ref_flat = np.concatenate(
-                        [reference[name].ravel() for name in names], out=b_ref
-                    )
-                except ValueError:  # stale workspaces (external surgery)
-                    ref_flat = np.concatenate(
-                        [reference[name].ravel() for name in names]
-                    )
-                    if ref_flat.size != acc_flat.size:
-                        raise
-                applied_flat = np.multiply(scale, acc_flat, out=s0)
-                new_ref = ref_flat + applied_flat
-            except ValueError:
-                pass  # size drift vs the accumulator: composed loop below
-            else:
-                off = 0
-                for name in names:
-                    old = reference[name]
-                    end = off + old.size
-                    reference[name] = new_ref[off:end].reshape(old.shape)
-                    off = end
-                acc_flat[...] = 0.0
-                self._received = 0
-                return True
-        for name in reference:
-            acc = accumulated[name]
-            applied = scale * acc
-            if track:
-                update_sq += float((applied.astype(np.float64) ** 2).sum())
-                size += applied.size
-            reference[name] = reference[name] + applied
-            acc[...] = 0.0
-        self._received = 0
-        if track:
+        acc *= scale  # the applied update; the accumulator is reset below
+        self._ref += acc
+        if self.registry is not None and self.registry.enabled:
             self.registry.counter("elastic.reference_updates").inc()
             self.registry.histogram(
                 "elastic.update_rms", buckets=_RMS_BUCKETS
-            ).observe(float(np.sqrt(update_sq / max(size, 1))))
+            ).observe(self._rms(acc.astype(np.float64)))
+        acc.fill(0.0)
+        self._received = 0
         return True
 
     def end_iteration(self) -> bool:
@@ -506,17 +357,6 @@ class ElasticAveragingFramework:
         """Load the reference weights into ``template`` (for evaluation)."""
         template.load_state_dict(self.reference)
         return template
-
-    def _average_state(self) -> StateDict:
-        n = len(self.models)
-        avg: StateDict = {}
-        for model in self.models:
-            for name, param in model.named_parameters():
-                if name in avg:
-                    avg[name] += param.data.astype(np.float64)
-                else:
-                    avg[name] = param.data.astype(np.float64).copy()
-        return {k: (v / n).astype(np.float32) for k, v in avg.items()}
 
     def divergence(self) -> float:
         """RMS distance of parallel models from the reference — the

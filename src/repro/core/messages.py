@@ -13,8 +13,8 @@ of asynchrony (the async-reference ablation) with deterministic replay.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Generic, TypeVar
+from dataclasses import dataclass
+from typing import Generic, Iterable, TypeVar
 
 T = TypeVar("T")
 
@@ -63,6 +63,16 @@ class MessageQueue(Generic[T]):
         dropped = len(self._pending)
         self._pending.clear()
         return dropped
+
+    def pending(self) -> list[tuple[int, T]]:
+        """Every in-flight message as ``(visible_at, payload)``, FIFO order."""
+        return [(env.visible_at, env.payload) for env in self._pending]
+
+    def restore(self, now: int, pending: Iterable[tuple[int, T]]) -> None:
+        """Reset the clock to ``now`` and the in-flight messages to
+        ``pending`` (the output of :meth:`pending`; checkpoint restore)."""
+        self._now = now
+        self._pending = deque(_Envelope(payload, visible_at) for visible_at, payload in pending)
 
     def drain(self) -> list[T]:
         """Pop every message visible at the current tick (FIFO order)."""

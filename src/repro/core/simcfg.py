@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.graph.cost_model import LayerCost, model_costs
-from repro.graph.partitioner import Partition, partition_model, search_partition_placement
+from repro.graph.partitioner import Partition, partition_balanced, search_partition_placement
 from repro.models.registry import WorkloadSpec, build_workload
 from repro.sim.cluster import ClusterSpec
 from repro.sim.device import UtilizationCurve
@@ -83,7 +83,7 @@ class SimCalibration:
     def partition(self, costs: list[LayerCost] | None = None) -> Partition:
         costs = costs or self.layer_costs()
         cspec = self.cluster_spec()
-        return partition_model(
+        return partition_balanced(
             costs,
             self.num_devices,
             bandwidth_bytes_per_sec=cspec.inter_node_bandwidth / self.activation_byte_scale,

@@ -23,7 +23,7 @@ from repro.core.profiler import Profile, Profiler
 from repro.graph.cost_model import LayerCost
 from repro.graph.partitioner import (
     Partition,
-    partition_model,
+    partition_balanced,
     search_partition_placement,
 )
 from repro.sim.cluster import ClusterSpec
@@ -74,11 +74,12 @@ def plan_for_spec(
 ) -> tuple[Partition, tuple[int, ...]]:
     """Partition + placement for a (possibly heterogeneous) cluster spec.
 
-    On a uniform spec this is exactly the legacy planner —
-    :func:`partition_model` against the inter-node bandwidth, straight-
-    chain placement — bit for bit.  On a heterogeneous spec it runs the
-    joint balanced-partition/placement search against the spec's
-    per-device speeds, link matrix and (optional) per-device memory caps.
+    On a uniform spec this is the PipeDream DP —
+    :func:`partition_balanced` against the inter-node bandwidth with unit
+    device speeds — and straight-chain placement.  On a heterogeneous
+    spec it runs the joint balanced-partition/placement search against
+    the spec's per-device speeds, link matrix and (optional) per-device
+    memory caps.
 
     ``history`` (None, a :class:`~repro.tune.store.RunStore`, or a path)
     consults the run-history store: when records exist for this cluster
@@ -97,7 +98,7 @@ def plan_for_spec(
             as_store(history), cluster_fingerprint(cluster_spec)
         )
     if cluster_spec.is_uniform:
-        part = partition_model(
+        part = partition_balanced(
             layer_costs,
             k,
             bandwidth_bytes_per_sec=cluster_spec.inter_node_bandwidth
@@ -211,8 +212,8 @@ class ProfilingTuner:
         registry=None,
     ) -> TuningOutcome:
         batch = self.profiler.batch_size
-        m_candidates = m_candidates or default_m_candidates(batch)
-        n_candidates = n_candidates or [1, 2, 3, 4]
+        m_candidates = default_m_candidates(batch) if m_candidates is None else m_candidates
+        n_candidates = [1, 2, 3, 4] if n_candidates is None else n_candidates
         profile: Profile = self.profiler.profile(iterations=profile_iterations)
         predictor = Predictor(profile)
         limits = _stage_memory_limits(self.profiler, self.memory_limit)
@@ -289,8 +290,10 @@ class TraversalTuner:
         n_candidates: list[int] | None = None,
     ) -> TuningOutcome:
         batch = self.profiler.batch_size
-        m_candidates = m_candidates or default_m_candidates(batch)
-        n_candidates = n_candidates or [1, 2, 3, 4]
+        m_candidates = default_m_candidates(batch) if m_candidates is None else m_candidates
+        n_candidates = [1, 2, 3, 4] if n_candidates is None else n_candidates
+        if not m_candidates or not n_candidates:
+            raise ValueError("empty candidate lists")
         best: tuple[float, int, int, float] | None = None
         cost = 0.0
         rows = []
@@ -344,7 +347,9 @@ class GuidelineTuner:
         return best
 
     def tune(self, guideline: str, n_candidates: list[int] | None = None) -> TuningOutcome:
-        n_candidates = n_candidates or [1, 2, 3, 4]
+        n_candidates = [1, 2, 3, 4] if n_candidates is None else n_candidates
+        if not n_candidates:
+            raise ValueError("empty candidate lists")
         batch = self.profiler.batch_size
         if guideline == "max-num":
             m = batch  # micro-batch size one

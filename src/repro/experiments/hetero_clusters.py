@@ -4,7 +4,7 @@ For each canned heterogeneous variant of the GNMT testbed
 (:mod:`repro.sim.hetero`), simulates one iteration-timed run under three
 planning strategies:
 
-* ``uniform-partition`` — the seed planner: :func:`partition_model`
+* ``uniform-partition`` — the seed planner: :func:`partition_balanced`
   computed as if the cluster were uniform, straight-chain placement.
   This is what a heterogeneity-blind tuner would deploy.
 * ``balanced`` — BaPipe-style :func:`partition_balanced` against the

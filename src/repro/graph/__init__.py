@@ -12,7 +12,6 @@ from repro.graph.partitioner import (
     Partition,
     balanced_bottleneck,
     partition_balanced,
-    partition_model,
     partition_uniform,
     search_partition_placement,
     search_placement,
@@ -25,7 +24,6 @@ __all__ = [
     "model_costs",
     "profile_layer_costs",
     "Partition",
-    "partition_model",
     "partition_balanced",
     "partition_uniform",
     "stage_spans",

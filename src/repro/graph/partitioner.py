@@ -29,7 +29,6 @@ from repro.graph.cost_model import LayerCost
 
 __all__ = [
     "Partition",
-    "partition_model",
     "partition_balanced",
     "partition_uniform",
     "stage_spans",
@@ -74,89 +73,6 @@ class Partition:
 def stage_spans(partition: Partition) -> list[tuple[int, int]]:
     """The [lo, hi) layer span of every stage of a partition."""
     return [partition.span(k) for k in range(partition.num_stages)]
-
-
-def bottleneck_time(
-    costs: Sequence[LayerCost],
-    boundaries: Sequence[int],
-    bandwidth_bytes_per_sec: float,
-    sample_rate: float = 1.0,
-) -> float:
-    """Steady-state bottleneck of a candidate partition (per sample)."""
-    worst = 0.0
-    k_stages = len(boundaries) - 1
-    for k in range(k_stages):
-        lo, hi = boundaries[k], boundaries[k + 1]
-        compute = sum(c.flops_per_sample for c in costs[lo:hi]) * sample_rate
-        comm = 0.0
-        if k > 0:  # receive cost of the stage's input cut
-            comm = costs[lo - 1].activation_bytes_per_sample / bandwidth_bytes_per_sec
-        worst = max(worst, compute + comm)
-    return worst
-
-
-def partition_model(
-    costs: Sequence[LayerCost],
-    num_stages: int,
-    bandwidth_bytes_per_sec: float = 1e9 / 8,
-    flops_per_sec: float = 1.0,
-    comm_weight: float = 0.5,
-) -> Partition:
-    """Optimal contiguous K-stage partition via the PipeDream DP.
-
-    ``flops_per_sec`` converts the cost model's flops into time so compute
-    and communication are in common units; the default treats flops as
-    already-normalized time (useful with profiled costs).
-
-    ``comm_weight`` discounts the input-cut communication added to a
-    stage's service time: schedules overlap part of each transfer with
-    compute, so pricing it fully makes the DP hoard layers on stage 0
-    (which pays no input cut) and unbalances compute.  0.5 reflects the
-    roughly-half-exposed transfers the simulator shows for 1F1B.
-    """
-    n = len(costs)
-    if num_stages <= 0:
-        raise ValueError(f"num_stages must be positive, got {num_stages}")
-    if num_stages > n:
-        raise ValueError(f"cannot split {n} layers into {num_stages} stages")
-
-    compute = np.array([c.flops_per_sample / flops_per_sec for c in costs])
-    prefix = np.concatenate([[0.0], np.cumsum(compute)])
-    comm_after = comm_weight * np.array(
-        [c.activation_bytes_per_sample / bandwidth_bytes_per_sec for c in costs]
-    )
-
-    # dp[k][j] = best bottleneck for first j layers in k stages.  A
-    # stage's steady-state service time is its compute plus the (receive)
-    # communication of its input cut — modelling them additively, as
-    # PipeDream's planner does, also breaks ties toward balanced compute
-    # when a slow interconnect would otherwise make every cut look equal.
-    inf = float("inf")
-    dp = np.full((num_stages + 1, n + 1), inf)
-    choice = np.full((num_stages + 1, n + 1), -1, dtype=int)
-    dp[0][0] = 0.0
-    for k in range(1, num_stages + 1):
-        for j in range(k, n + 1):
-            # last stage covers layers (i, j]; i ranges over k-1 .. j-1
-            for i in range(k - 1, j):
-                if dp[k - 1][i] == inf:
-                    continue
-                stage_compute = prefix[j] - prefix[i]
-                cut_comm = comm_after[i - 1] if i > 0 else 0.0
-                candidate = max(dp[k - 1][i], stage_compute + cut_comm)
-                if candidate < dp[k][j]:
-                    dp[k][j] = candidate
-                    choice[k][j] = i
-    if dp[num_stages][n] == inf:
-        raise RuntimeError("partition DP failed to find a feasible cut")
-
-    boundaries = [n]
-    j = n
-    for k in range(num_stages, 0, -1):
-        j = int(choice[k][j])
-        boundaries.append(j)
-    boundaries.reverse()
-    return Partition(boundaries=tuple(boundaries))
 
 
 def _layer_memory(
@@ -221,9 +137,21 @@ def partition_balanced(
     memory_caps: Sequence[float] | None = None,
     layer_memory_bytes: Sequence[float] | None = None,
 ) -> Partition:
-    """BaPipe-style balanced partition over (possibly) unequal devices.
+    """Optimal contiguous K-stage partition via the PipeDream DP,
+    BaPipe-style balanced over (possibly) unequal devices.
 
-    Generalizes :func:`partition_model` three ways:
+    ``flops_per_sec`` converts the cost model's flops into time so compute
+    and communication are in common units; the default treats flops as
+    already-normalized time (useful with profiled costs).
+
+    ``comm_weight`` discounts the input-cut communication added to a
+    stage's service time: schedules overlap part of each transfer with
+    compute, so pricing it fully makes the DP hoard layers on stage 0
+    (which pays no input cut) and unbalances compute.  0.5 reflects the
+    roughly-half-exposed transfers the simulator shows for 1F1B.
+
+    On a uniform cluster leave the three heterogeneity inputs at their
+    defaults; each generalizes the PipeDream DP one way:
 
     * ``device_speeds[k]`` scales stage k's compute time by 1/speed — a
       half-speed device makes its stage twice as expensive, so the DP
@@ -234,11 +162,6 @@ def partition_balanced(
     * ``memory_caps[k]`` bounds the resident bytes of stage k
       (:func:`stage_memory_bytes`); candidates that overflow a cap are
       infeasible rather than merely expensive.
-
-    On a *uniform* call — ``device_speeds=None``, scalar bandwidth, no
-    caps — every float operation and loop order matches
-    :func:`partition_model` exactly, so the result is bitwise identical
-    (the differential tests pin this).
     """
     n = len(costs)
     if num_stages <= 0:
@@ -274,6 +197,11 @@ def partition_balanced(
         mem = _layer_memory(costs, layer_memory_bytes)
         mem_prefix = np.concatenate([[0.0], np.cumsum(mem)])
 
+    # dp[k][j] = best bottleneck for first j layers in k stages.  A
+    # stage's steady-state service time is its compute plus the (receive)
+    # communication of its input cut — modelling them additively, as
+    # PipeDream's planner does, also breaks ties toward balanced compute
+    # when a slow interconnect would otherwise make every cut look equal.
     inf = float("inf")
     dp = np.full((num_stages + 1, n + 1), inf)
     choice = np.full((num_stages + 1, n + 1), -1, dtype=int)
@@ -456,7 +384,7 @@ def search_partition_placement(
     caps, and keeps the placement whose *optimal* partition has the
     smallest bottleneck.  Ties keep the identity placement, so on a
     uniform cluster this degenerates to
-    ``(partition_model(...), (0, 1, ..., K-1))``.
+    ``(partition_balanced(...), (0, 1, ..., K-1))``.
 
     Returns ``(partition, placement, bottleneck)``.
     """

@@ -538,8 +538,7 @@ def _apply_blackout(trainer: AvgPipeTrainer, seed: int) -> None:
     for i, model in enumerate(trainer.models):
         fresh = trainer.spec.build_model().seed(seed * 31 + 17 * i + 5)
         model.load_state_dict(fresh.state_dict())
-    trainer.framework.reference = trainer.framework._average_state()
-    trainer.framework._discard_round()
+    trainer.framework.recenter()
 
 
 def _numerics_phase(scenario: ChaosScenario, seed: int, recovery: bool,
@@ -647,7 +646,7 @@ def _retune_phase(scenario: ChaosScenario, seed: int, recovery: bool,
         report.failures.append("straggler detected but retuning disabled")
         return
     from repro.core.profiler import Profiler
-    from repro.graph import LayerCost, partition_model
+    from repro.graph import LayerCost, partition_balanced
 
     spec = ClusterSpec(nodes=2, gpus_per_node=2)
     layer_costs = [
@@ -655,7 +654,7 @@ def _retune_phase(scenario: ChaosScenario, seed: int, recovery: bool,
                   activation_bytes_per_sample=2.0e4, param_bytes=500_000)
         for i in range(8)
     ]
-    partition = partition_model(
+    partition = partition_balanced(
         layer_costs, 4, bandwidth_bytes_per_sec=spec.inter_node_bandwidth,
         flops_per_sec=spec.peak_flops,
     )

@@ -16,7 +16,7 @@ pipelines instead.
 from __future__ import annotations
 
 from repro.graph.cost_model import LayerCost
-from repro.graph.partitioner import Partition, partition_model
+from repro.graph.partitioner import Partition, partition_balanced
 from repro.schedules.base import OneFOneBSchedule
 from repro.schedules.executor import PipelineSimRunner, SimIterationResult, StageCosts
 from repro.sim.cluster import Cluster
@@ -50,7 +50,7 @@ def simulate_interleaved(
         raise ValueError(
             f"{len(layer_costs)} layers cannot form {num_stages} virtual stages"
         )
-    partition = partition_model(
+    partition = partition_balanced(
         layer_costs,
         num_stages,
         bandwidth_bytes_per_sec=cluster.spec.inter_node_bandwidth / activation_byte_scale,

@@ -322,6 +322,8 @@ class ElasticOracle:
     step, Δ_i = x_i' − x_i, dilute x_i ← (1−α)x_i' + α·x_ref against the
     possibly-stale reference, enqueue Δ_i with ``delay`` rounds of
     staleness, and once N deltas arrived apply x_ref += normalize(ΣΔ).
+    ``reference`` overrides the starting center (default: the float32
+    average of the models).
     """
 
     def __init__(
@@ -330,6 +332,7 @@ class ElasticOracle:
         alpha: float | None = None,
         queue_delay: int = 1,
         update_normalization: str = "mean",
+        reference: Mapping[str, np.ndarray] | None = None,
     ) -> None:
         self.models = list(models)
         n = len(self.models)
@@ -344,6 +347,8 @@ class ElasticOracle:
         self.reference: dict[str, np.ndarray] = {
             name: (total / n).astype(np.float32) for name, total in stacks.items()
         }
+        if reference is not None:
+            self.reference = {k: np.array(v, dtype=np.float32) for k, v in reference.items()}
         self._clock = 0
         self._queue: list[tuple[int, dict[str, np.ndarray]]] = []
         self._accumulated = {k: np.zeros_like(v) for k, v in self.reference.items()}
@@ -417,17 +422,16 @@ def elastic_equivalence_check(
         queue_delay=framework.queue.delay,
         update_normalization=framework.update_normalization,
     )
+    # Both start from the framework's *actual* reference, not the model
+    # average their constructors computed, with an empty round.
+    clone.load_state_dict({**clone.state_dict(), "reference": framework.reference})
     oracle = ElasticOracle(
         oracle_models,
         alpha=framework.alpha,
         queue_delay=framework.queue.delay,
         update_normalization=framework.update_normalization,
+        reference=framework.reference,
     )
-    # Both start from the framework's *actual* reference, not the model
-    # average their constructors computed.
-    for holder in (clone, oracle):
-        holder.reference = {k: v.copy() for k, v in framework.reference.items()}
-        holder._accumulated = {k: np.zeros_like(v) for k, v in holder.reference.items()}
 
     for r in range(rounds):
         for i in range(len(clone.models)):

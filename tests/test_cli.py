@@ -40,6 +40,20 @@ class TestCommands:
         assert "parallel pipelines" in out
         assert "time per batch" in out
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "awd", "--max-pipelines", "0"],
+        ["train", "awd", "--epochs", "-1"],
+        ["train", "awd", "--epochs", "0"],
+        ["plan", "awd", "--max-pipelines", "-2"],
+        ["tune", "predict", "awd", "--max-pipelines", "0"],
+    ])
+    def test_non_positive_counts_rejected(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and "must be a positive integer" in lines[0]
+
     def test_figure_unknown(self, capsys):
         code = main(["figure", "fig99"])
         assert code == 2

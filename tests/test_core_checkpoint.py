@@ -69,6 +69,48 @@ class TestCheckpointRoundTrip:
                 v1, v2 = s1["state"][slot][key], s2["state"][slot][key]
                 assert np.allclose(np.asarray(v1), np.asarray(v2))
 
+    def test_in_flight_delta_resumes_bit_identically(self, tmp_path):
+        """queue_delay=2 leaves deltas in the queue at the checkpoint; the
+        restored trainer must replay them exactly."""
+        spec = tiny_awd_spec()
+        full = AvgPipeTrainer(spec, seed=0, max_epochs=1, num_pipelines=2, queue_delay=2)
+        full.train()
+        assert len(full.framework.queue) > 0
+        path = tmp_path / "ckpt.npz"
+        save_trainer(full, path)
+        resumed = AvgPipeTrainer(spec, seed=7, max_epochs=1, num_pipelines=2, queue_delay=2)
+        load_trainer(resumed, path)
+        _step_epochs(full, 1)
+        _step_epochs(resumed, 1)
+        for mf, mr in zip(full.models, resumed.models):
+            for (k, pf), (_, pr) in zip(mf.named_parameters(), mr.named_parameters()):
+                assert pf.data.tobytes() == pr.data.tobytes(), k
+        for k in full.framework.reference:
+            assert np.array_equal(full.framework.reference[k], resumed.framework.reference[k]), k
+
+    def test_format_v1_still_loads(self, tmp_path):
+        """v1 checkpoints predate the alpha-auto bit and the RNG streams."""
+        import json
+
+        spec = tiny_awd_spec()
+        t1 = AvgPipeTrainer(spec, seed=0, max_epochs=1, num_pipelines=2)
+        t1.train()
+        path = tmp_path / "ckpt.npz"
+        save_trainer(t1, path)
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        manifest = json.loads(bytes(arrays["__manifest__"]).decode("utf-8"))
+        manifest["format"] = 1
+        del manifest["alpha_auto"], manifest["rng"]
+        arrays["__manifest__"] = np.frombuffer(json.dumps(manifest).encode("utf-8"), dtype=np.uint8)
+        v1 = tmp_path / "v1.npz"
+        np.savez(v1, **arrays)
+        t2 = AvgPipeTrainer(spec, seed=99, max_epochs=1, num_pipelines=2)
+        load_trainer(t2, v1)
+        assert t2.framework.alpha == t1.framework.alpha
+        for k in t1.framework.reference:
+            assert np.array_equal(t1.framework.reference[k], t2.framework.reference[k])
+
     def test_pipeline_count_mismatch_rejected(self, tmp_path):
         spec = tiny_awd_spec()
         t1 = AvgPipeTrainer(spec, seed=0, max_epochs=1, num_pipelines=2)

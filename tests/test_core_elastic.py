@@ -201,3 +201,76 @@ class TestFrameworkInvariants:
         fw.reference_model(template)
         for name, p in template.named_parameters():
             assert np.allclose(p.data, fw.reference[name])
+
+
+class TestStateOwnership:
+    """The framework is the only writer of its reference, accumulator and
+    in-flight deltas; everything else goes through state_dict()."""
+
+    def test_reference_is_read_only(self):
+        fw = ElasticAveragingFramework(make_models(2))
+        name = next(iter(fw.reference))
+        with pytest.raises(TypeError):
+            fw.reference[name] = np.zeros_like(fw.reference[name])
+        with pytest.raises(ValueError):
+            fw.reference[name][...] = 0.0
+        with pytest.raises(AttributeError):
+            fw.reference = {}
+
+    def test_state_dict_round_trips_pending_delta_bitwise(self):
+        def run(models, fw, rounds):
+            opts = [SGD(m.parameters(), lr=0.05) for m in models]
+            for it in range(rounds):
+                for i, (m, o) in enumerate(zip(models, opts)):
+                    before = fw.capture(i)
+                    m.zero_grad()
+                    m.loss(batch(seed=10 * it + i)).backward()
+                    o.step()
+                    fw.commit(i, before)
+                fw.end_iteration()
+
+        models = make_models(2, seed=4)
+        fw = ElasticAveragingFramework(models, alpha=0.3, queue_delay=2)
+        run(models, fw, 3)
+        state = fw.state_dict()
+        assert state["pending"], "queue_delay=2 leaves deltas in flight"
+
+        twin_models = make_models(2, seed=9)
+        for src, dst in zip(models, twin_models):
+            dst.load_state_dict(src.state_dict())
+        twin = ElasticAveragingFramework(twin_models, queue_delay=0)
+        twin.load_state_dict(state)
+        assert twin.alpha == 0.3 and twin.queue.delay == 2
+
+        def flat(s):
+            out = [s["alpha"], s["alpha_auto"], s["update_normalization"],
+                   s["received"], s["queue_delay"], s["queue_now"]]
+            for key in ("reference", "accumulated"):
+                out += [(k, v.dtype, v.tobytes()) for k, v in s[key].items()]
+            for visible_at, delta in s["pending"]:
+                out += [visible_at] + [(k, v.dtype, v.tobytes()) for k, v in delta.items()]
+            return out
+
+        assert flat(twin.state_dict()) == flat(state)
+        run(models, fw, 2)
+        run(twin_models, twin, 2)
+        assert flat(twin.state_dict()) == flat(fw.state_dict())
+        for a, b in zip(models, twin_models):
+            for (name, p), (_, q) in zip(a.named_parameters(), b.named_parameters()):
+                assert p.data.tobytes() == q.data.tobytes(), name
+
+    def test_mixed_parameter_dtypes_rejected(self):
+        models = make_models(2)
+        p = next(iter(models[1].parameters()))
+        p.data = p.data.astype(np.float64)
+        with pytest.raises(TypeError, match="dtype"):
+            ElasticAveragingFramework(models)
+
+    def test_commit_refuses_a_rebound_dtype(self):
+        models = make_models(2)
+        fw = ElasticAveragingFramework(models)
+        before = fw.capture(0)
+        p = next(iter(models[0].parameters()))
+        p.data = p.data.astype(np.float64)
+        with pytest.raises(TypeError):
+            fw.commit(0, before)

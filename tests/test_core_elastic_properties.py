@@ -83,8 +83,9 @@ def test_translation_equivariance(updates, shift):
     for model in m2:
         for _, p in model.named_parameters():
             p.data = p.data + np.float32(shift)
-    for name in f2.reference:
-        f2.reference[name] = f2.reference[name] + np.float32(shift)
+    state = f2.state_dict()
+    state["reference"] = {k: v + np.float32(shift) for k, v in state["reference"].items()}
+    f2.load_state_dict(state)
     ups = [np.float32(u) for u in updates]
     apply_updates(f1, m1, ups)
     apply_updates(f2, m2, ups)

@@ -23,10 +23,10 @@ def make_profiler(schedule=None, batch_size=64, k=6):
         LayerCost(f"l{i}", flops_per_sample=2.0e5, activation_bytes_per_sample=2.0e4, param_bytes=500_000)
         for i in range(2 * k)
     ]
-    from repro.graph import partition_model
+    from repro.graph import partition_balanced
 
     spec = ClusterSpec(nodes=k // 2, gpus_per_node=2, memory_bytes=8 * GIB)
-    partition = partition_model(costs, k, bandwidth_bytes_per_sec=spec.inter_node_bandwidth,
+    partition = partition_balanced(costs, k, bandwidth_bytes_per_sec=spec.inter_node_bandwidth,
                                 flops_per_sec=spec.peak_flops)
     return Profiler(
         layer_costs=costs,

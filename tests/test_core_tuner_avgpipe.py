@@ -52,6 +52,22 @@ class TestProfilingVsTraversal:
         assert np.isfinite(outcome.measured_batch_time)
 
 
+class TestEmptyCandidates:
+    """An empty candidate list is an error, not "use the defaults"."""
+
+    def test_profiling_rejects_empty_n(self):
+        with pytest.raises(ValueError, match="empty candidate"):
+            ProfilingTuner(make_profiler(), 8 * 2**30).tune(n_candidates=[])
+
+    def test_traversal_rejects_empty_m(self):
+        with pytest.raises(ValueError, match="empty candidate"):
+            TraversalTuner(make_profiler(), 8 * 2**30).tune(m_candidates=[], n_candidates=[1])
+
+    def test_guideline_rejects_empty_n(self):
+        with pytest.raises(ValueError, match="empty candidate"):
+            GuidelineTuner(make_profiler(), 8 * 2**30).tune("max-num", n_candidates=[])
+
+
 class TestGuidelines:
     def test_max_num_sets_micro_batch_size_one(self):
         profiler = make_profiler(batch_size=32)

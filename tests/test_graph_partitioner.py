@@ -1,6 +1,7 @@
 """Partitioner: DP optimality (vs brute force), structure, fallbacks,
-and the balanced/heterogeneous generalization's differential + property
-suites (balanced == PipeDream DP bitwise on uniform input)."""
+the shipped workloads' pinned boundaries, and the balanced/heterogeneous
+generalization's differential + property suites (uniform inputs through
+the general per-stage path == the scalar path, bitwise)."""
 
 import itertools
 
@@ -8,10 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.graph import LayerCost, Partition, partition_model, partition_uniform
+from repro.graph import LayerCost, Partition, partition_uniform
 from repro.graph.partitioner import (
     balanced_bottleneck,
-    bottleneck_time,
     partition_balanced,
     search_partition_placement,
     search_placement,
@@ -72,13 +72,13 @@ class TestPartitionStructure:
 class TestDPOptimality:
     def test_balances_equal_layers(self):
         costs = costs_from([100.0] * 8)
-        p = partition_model(costs, 4, bandwidth_bytes_per_sec=1e12)
+        p = partition_balanced(costs, 4, bandwidth_bytes_per_sec=1e12)
         sizes = [hi - lo for lo, hi in (p.span(k) for k in range(4))]
         assert sizes == [2, 2, 2, 2]
 
     def test_isolates_heavy_layer(self):
         costs = costs_from([10, 10, 1000, 10, 10])
-        p = partition_model(costs, 3, bandwidth_bytes_per_sec=1e12)
+        p = partition_balanced(costs, 3, bandwidth_bytes_per_sec=1e12)
         heavy_stage = p.stage_of_layer(2)
         lo, hi = p.span(heavy_stage)
         assert hi - lo == 1  # the 1000-flop layer gets its own stage
@@ -86,7 +86,7 @@ class TestDPOptimality:
     def test_avoids_expensive_cut(self):
         # Cutting after layer 1 ships a huge activation; DP must cut elsewhere.
         costs = costs_from([100, 100, 100, 100], acts=[10, 1e9, 10, 10])
-        p = partition_model(costs, 2, bandwidth_bytes_per_sec=1.0, flops_per_sec=1.0)
+        p = partition_balanced(costs, 2, bandwidth_bytes_per_sec=1.0, flops_per_sec=1.0)
         assert 2 not in ()  # placeholder for clarity
         assert p.boundaries[1] != 2
 
@@ -105,18 +105,18 @@ class TestDPOptimality:
             acts=rng.uniform(1, 50, size=n).tolist(),
         )
         bandwidth = 10.0
-        p = partition_model(costs, k, bandwidth_bytes_per_sec=bandwidth, comm_weight=0.5)
+        p = partition_balanced(costs, k, bandwidth_bytes_per_sec=bandwidth, comm_weight=0.5)
         _, best_b = brute_force(costs, k, bandwidth)
         got = _objective(costs, p.boundaries, bandwidth)
         assert got == pytest.approx(best_b, rel=1e-9)
 
     def test_too_many_stages_raises(self):
         with pytest.raises(ValueError):
-            partition_model(costs_from([1, 2]), 3)
+            partition_balanced(costs_from([1, 2]), 3)
 
     def test_zero_stages_raises(self):
         with pytest.raises(ValueError):
-            partition_model(costs_from([1, 2]), 0)
+            partition_balanced(costs_from([1, 2]), 0)
 
 
 def _objective(costs, boundaries, bandwidth, comm_weight=0.5):
@@ -132,12 +132,40 @@ def _objective(costs, boundaries, bandwidth, comm_weight=0.5):
 class TestBottleneckTime:
     def test_single_stage_is_total_compute(self):
         costs = costs_from([10, 20, 30])
-        assert bottleneck_time(costs, [0, 3], 1e9) == pytest.approx(60)
+        assert balanced_bottleneck(costs, [0, 3], bandwidth_bytes_per_sec=1e9) == pytest.approx(60)
 
     def test_includes_receive_comm(self):
         costs = costs_from([10, 10], acts=[1000, 10])
-        t = bottleneck_time(costs, [0, 1, 2], bandwidth_bytes_per_sec=100.0)
+        t = balanced_bottleneck(
+            costs, [0, 1, 2], bandwidth_bytes_per_sec=100.0, comm_weight=1.0
+        )
         assert t == pytest.approx(10 + 1000 / 100.0)
+
+
+# Boundaries `repro plan` ships on the uniform testbeds, recorded from the
+# planner before its uniform-only twin was folded into partition_balanced.
+SHIPPED_UNIFORM_BOUNDARIES = {
+    "gnmt": (0, 4, 6, 8, 10, 12, 15),
+    "bert": (0, 3, 5, 7, 9, 11, 14),
+    "awd": (0, 1, 2, 3, 4),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(SHIPPED_UNIFORM_BOUNDARIES))
+def test_shipped_uniform_boundaries_pinned(workload):
+    from repro.core.simcfg import calibration_for
+    from repro.core.tuner import plan_for_spec
+
+    cal = calibration_for(workload)
+    costs = cal.layer_costs()
+    want = SHIPPED_UNIFORM_BOUNDARIES[workload]
+    assert cal.partition(costs).boundaries == want
+    part, placement = plan_for_spec(
+        costs, cal.cluster_spec(),
+        activation_byte_scale=cal.activation_byte_scale, comm_weight=0.2,
+    )
+    assert part.boundaries == want
+    assert placement == tuple(range(len(want) - 1))
 
 
 class TestLayerCostValidation:
@@ -155,7 +183,8 @@ def _random_costs(rng, n):
 
 
 class TestBalancedDifferential:
-    """On uniform input the balanced DP must BE the PipeDream DP, bitwise."""
+    """Uniform input through the general per-stage path must BE the scalar
+    PipeDream DP, bitwise."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -171,12 +200,13 @@ class TestBalancedDifferential:
         costs = _random_costs(rng, n)
         bandwidth = float(rng.uniform(1e7, 1e10))
         flops_per_sec = float(rng.uniform(1e6, 1e9))
-        reference = partition_model(
+        reference = partition_balanced(
             costs, k, bandwidth_bytes_per_sec=bandwidth,
             flops_per_sec=flops_per_sec, comm_weight=comm_weight,
         )
         balanced = partition_balanced(
-            costs, k, bandwidth_bytes_per_sec=bandwidth,
+            costs, k, device_speeds=[1.0] * k,
+            bandwidth_bytes_per_sec=[float("inf")] + [bandwidth] * (k - 1),
             flops_per_sec=flops_per_sec, comm_weight=comm_weight,
         )
         assert balanced.boundaries == reference.boundaries
@@ -185,7 +215,7 @@ class TestBalancedDifferential:
         # x / 1.0 == x in IEEE-754, so explicit unit speeds change nothing.
         rng = np.random.default_rng(3)
         costs = _random_costs(rng, 12)
-        reference = partition_model(costs, 4, bandwidth_bytes_per_sec=1e8)
+        reference = partition_balanced(costs, 4, bandwidth_bytes_per_sec=1e8)
         balanced = partition_balanced(
             costs, 4, device_speeds=[1.0] * 4, bandwidth_bytes_per_sec=1e8
         )
@@ -202,7 +232,7 @@ class TestBalancedDifferential:
             costs, d, device_speeds=[1.0] * d, bandwidth_matrix=matrix,
             flops_per_sec=2.0e8, comm_weight=0.2,
         )
-        reference = partition_model(
+        reference = partition_balanced(
             costs, d, bandwidth_bytes_per_sec=1.25e8,
             flops_per_sec=2.0e8, comm_weight=0.2,
         )

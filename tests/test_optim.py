@@ -6,7 +6,7 @@ import pytest
 
 from repro.nn import Linear, Sequential
 from repro.nn.module import Parameter
-from repro.optim import ASGD, SGD, Adagrad, Adam, AdamW, ConstantLR, EASGD, StepLR, WarmupLinearLR
+from repro.optim import ASGD, SGD, Adam, ConstantLR, EASGD, StepLR, WarmupLinearLR
 from repro.tensor import Tensor
 
 
@@ -95,48 +95,6 @@ class TestAdam:
     def test_invalid_betas(self):
         with pytest.raises(ValueError):
             Adam([make_param([1.0])], betas=(1.0, 0.9))
-
-
-class TestAdamW:
-    def test_decay_is_decoupled_from_gradient_statistics(self):
-        """With zero gradient AdamW still shrinks the weights; Adam with
-        coupled weight_decay would route the decay through the moments."""
-        p = make_param([10.0])
-        p.grad = np.zeros(1, dtype=np.float32)
-        opt = AdamW([p], lr=0.1, weight_decay=0.1)
-        opt.step()
-        assert np.allclose(p.data, [10.0 * (1 - 0.01)], atol=1e-5)
-
-    def test_zero_decay_matches_adam(self):
-        rng = np.random.default_rng(3)
-        p1 = make_param(rng.standard_normal(4))
-        p2 = make_param(p1.data.copy())
-        o1 = Adam([p1], lr=0.05)
-        o2 = AdamW([p2], lr=0.05, weight_decay=0.0)
-        for _ in range(3):
-            g = rng.standard_normal(4).astype(np.float32)
-            p1.grad, p2.grad = g.copy(), g.copy()
-            o1.step()
-            o2.step()
-        assert np.allclose(p1.data, p2.data, atol=1e-6)
-
-    def test_negative_decay_rejected(self):
-        with pytest.raises(ValueError):
-            AdamW([make_param([1.0])], weight_decay=-0.1)
-
-
-class TestAdagrad:
-    def test_learning_rate_decays_with_accumulation(self):
-        p = make_param([0.0])
-        opt = Adagrad([p], lr=1.0)
-        p.grad = np.array([1.0], dtype=np.float32)
-        opt.step()
-        first_move = -float(p.data[0])
-        before = float(p.data[0])
-        p.grad = np.array([1.0], dtype=np.float32)
-        opt.step()
-        second_move = before - float(p.data[0])
-        assert second_move < first_move
 
 
 class TestASGD:

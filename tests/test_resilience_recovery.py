@@ -291,7 +291,7 @@ class TestRecoveryManager:
 
     def test_retune_degrades_the_cluster_by_observed_severity(self):
         from repro.core.profiler import Profiler
-        from repro.graph import LayerCost, partition_model
+        from repro.graph import LayerCost, partition_balanced
         from repro.schedules import OneFOneBSchedule
         from repro.sim import ClusterSpec
 
@@ -301,7 +301,7 @@ class TestRecoveryManager:
                       activation_bytes_per_sample=2.0e4, param_bytes=500_000)
             for i in range(8)
         ]
-        partition = partition_model(
+        partition = partition_balanced(
             layer_costs, 4, bandwidth_bytes_per_sec=spec.inter_node_bandwidth,
             flops_per_sec=spec.peak_flops,
         )
